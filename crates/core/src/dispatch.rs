@@ -37,11 +37,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hcl_databox::DataBox;
-use hcl_fabric::EpId;
+use hcl_fabric::{EpId, Fabric};
 use hcl_rpc::batch::BatchArena;
 use hcl_rpc::client::{BatchFuture, RawFuture, RpcClient};
 use hcl_rpc::{FnId, RpcError, RpcResult};
-use hcl_runtime::{DownedRegistry, EpCache, Membership, PartitionMap, Rank, WorldShared};
+use hcl_runtime::{
+    DownedRegistry, EpCache, Membership, PartitionMap, Rank, WorldConfig, WorldShared,
+};
 use parking_lot::Mutex;
 
 use crate::cost::{CostObserver, CostSnapshot};
@@ -948,6 +950,11 @@ pub(crate) struct ReplForwarder {
     /// The partition's owner rank: fixes the forwarder's auxiliary endpoint
     /// (`world_size + home` — unique per rank, co-located with the owner).
     home: u32,
+    /// The world's fabric and shape, held instead of the world itself: the
+    /// world's registry owns this forwarder (through the partition handlers),
+    /// so a world reference here would keep every world alive forever.
+    fabric: Arc<dyn Fabric>,
+    cfg: WorldConfig,
     client: std::sync::OnceLock<RpcClient>,
     outstanding: Mutex<Vec<RawFuture>>,
 }
@@ -959,9 +966,11 @@ pub(crate) struct ReplForwarder {
 const REPL_OUTSTANDING_CAP: usize = 1024;
 
 impl ReplForwarder {
-    pub(crate) fn new(home: u32) -> Self {
+    pub(crate) fn new(home: u32, world: &WorldShared) -> Self {
         ReplForwarder {
             home,
+            fabric: Arc::clone(world.fabric()),
+            cfg: *world.config(),
             client: std::sync::OnceLock::new(),
             outstanding: Mutex::new(Vec::new()),
         }
@@ -970,14 +979,13 @@ impl ReplForwarder {
     /// The forwarder's lazily-created auxiliary client: endpoint past the
     /// world's rank range (the servers' slot tables reserve room for one
     /// auxiliary client per rank).
-    fn client(&self, world: &Arc<WorldShared>) -> &RpcClient {
+    fn client(&self) -> &RpcClient {
         self.client.get_or_init(|| {
-            let cfg = world.config();
             let ep = EpId {
-                node: self.home / cfg.ranks_per_node,
-                rank: cfg.world_size() + self.home,
+                node: self.home / self.cfg.ranks_per_node,
+                rank: self.cfg.world_size() + self.home,
             };
-            RpcClient::new(ep, Arc::clone(world.fabric()), cfg.slot_cap)
+            RpcClient::new(ep, Arc::clone(&self.fabric), self.cfg.slot_cap)
         })
     }
 
@@ -1005,7 +1013,6 @@ impl ReplForwarder {
     /// `index`. Invocation futures are retained for [`ReplForwarder::flush`].
     pub(crate) fn forward(
         &self,
-        world: &Arc<WorldShared>,
         index: usize,
         servers: &[u32],
         replicas: usize,
@@ -1016,7 +1023,7 @@ impl ReplForwarder {
         if nparts <= 1 || replicas == 0 {
             return;
         }
-        let client = self.client(world);
+        let client = self.client();
         let mut outstanding = self.outstanding.lock();
         Self::reclaim(&mut outstanding);
         for i in 1..=replicas.min(nparts - 1) {
@@ -1026,7 +1033,7 @@ impl ReplForwarder {
             let succ = index + i;
             let succ = if succ >= nparts { succ - nparts } else { succ };
             let target = servers[succ];
-            let target_ep = world.config().ep_of(target);
+            let target_ep = self.cfg.ep_of(target);
             if let Ok(f) = client.invoke_raw(target_ep, fn_id, encoded) {
                 outstanding.push(f);
             }
@@ -1037,17 +1044,11 @@ impl ReplForwarder {
     /// live-migration write-forwarding window: while a shard drains to its
     /// new owner, the old owner dual-applies incoming mutations so neither
     /// side misses writes racing the copy (see [`crate::rebalance`]).
-    pub(crate) fn forward_to(
-        &self,
-        world: &Arc<WorldShared>,
-        target: u32,
-        fn_id: FnId,
-        encoded: &[u8],
-    ) {
-        let client = self.client(world);
+    pub(crate) fn forward_to(&self, target: u32, fn_id: FnId, encoded: &[u8]) {
+        let client = self.client();
         let mut outstanding = self.outstanding.lock();
         Self::reclaim(&mut outstanding);
-        let target_ep = world.config().ep_of(target);
+        let target_ep = self.cfg.ep_of(target);
         if let Ok(f) = client.invoke_raw(target_ep, fn_id, encoded) {
             outstanding.push(f);
         }

@@ -74,17 +74,6 @@ impl<Rec: DataBox> OpLog<Rec> {
         Ok(OpLog { wal: Arc::new(wal), report, _rec: PhantomData })
     }
 
-    /// Open partition `p` of container `name` under `cfg`.
-    pub fn open_in(
-        cfg: &PersistConfig,
-        name: &str,
-        p: usize,
-        metrics: PersistMetrics,
-        apply: impl FnMut(Rec),
-    ) -> std::io::Result<Self> {
-        Self::open_with(cfg.stem(name, p), cfg.policy, cfg.segment_bytes, metrics, apply)
-    }
-
     /// Append one record with no client identity (exempt from replay dedup).
     pub fn append(&self, rec: &Rec) -> std::io::Result<()> {
         self.append_op(rec, 0, hcl_persist::NO_IDENTITY)

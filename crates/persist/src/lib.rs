@@ -12,9 +12,8 @@
 //!   with an atomic rename.
 //! * **Sync epochs** ([`SyncPolicy`]): `Strict` fsyncs every append,
 //!   `Relaxed` bounds the flush gap with a background [`Flusher`], `Manual`
-//!   leaves scheduling to the caller. One policy type — the old
-//!   `core::persist::PersistMode` / `mem::persist::FlushMode` duplicates
-//!   both resolve here.
+//!   leaves scheduling to the caller. One policy type for every container
+//!   log.
 //! * **Detectable recovery descriptors**: every record carries the dispatch
 //!   op id plus the client `(rank, seq)` identity — the same scheme as the
 //!   RPC server's dedup window — so replay after a crash is exactly-once
@@ -33,8 +32,8 @@ use std::time::Duration;
 
 /// When (and how durably) log appends reach stable storage.
 ///
-/// The single sync-policy type for the whole tree: container op logs,
-/// snapshot persistence, and `hcl-mem`'s file-backed segments all take this.
+/// The single sync-policy type for the whole tree: every container op log
+/// takes this.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncPolicy {
     /// fsync on every append: an acknowledged mutation is durable.

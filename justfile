@@ -178,6 +178,13 @@ crash-soak iters="3" seed="12648430":
 bench-persist-smoke:
     cargo run --release -p hcl-bench --bin pr10 -- --smoke
 
+# The repo benchmark's own self-tests (payload checks with negative
+# controls, per-op failure accounting, metric schema). perfbench is its own
+# Cargo workspace compiled against the library's public API, so this is
+# also the CI step that builds it.
+bench-selftest:
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # FIG artifact provenance: every committed FIG_*.json must record its seed,
 # measured rank counts, and per-cell workload mix.
 check-artifacts:
@@ -186,5 +193,5 @@ check-artifacts:
 # Everything CI runs: build, tier-1 tests, hygiene lint, fault suite,
 # membership/rebalance suite, durability suite + crash soak, schedule
 # exploration, linearizability histories, bench smoke-checks,
-# scenario-matrix gate, artifact provenance.
-ci: build test lint test-faults test-membership test-persist crash-soak check-conc check-races check-lin bench-smoke bench-cache-smoke telemetry-smoke scenario-smoke bench-rebalance-smoke bench-persist-smoke check-artifacts
+# scenario-matrix gate, repo-benchmark self-tests, artifact provenance.
+ci: build test lint test-faults test-membership test-persist crash-soak check-conc check-races check-lin bench-smoke bench-cache-smoke telemetry-smoke scenario-smoke bench-rebalance-smoke bench-persist-smoke bench-selftest check-artifacts
