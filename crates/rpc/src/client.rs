@@ -474,26 +474,10 @@ impl RpcClient {
     ) -> RpcResult<RawFuture> {
         let retrying = self.retry.max_attempts > 1;
         let flags = if retrying { flags | FLAG_IDEMPOTENT } else { flags };
-        // ORDERING: Relaxed — request ids only need uniqueness; the send
-        // itself synchronizes via the fabric.
-        let req_id = self.next_req.fetch_add(1, Ordering::Relaxed);
-        let slot = (req_id % SLOTS_PER_CLIENT) as u32;
         let mut buf = BytesMut::with_capacity(14 + 4 * chain.len() + size_hint);
-        encode_request_header_into(req_id, slot, flags, chain, &mut buf);
+        // Request id and slot are patched in once the slot is claimed.
+        encode_request_header_into(0, 0, flags, chain, &mut buf);
         write_args(buf.vec_mut());
-        let msg = buf.freeze();
-        let fut = RawFuture::new(PendingResponse {
-            fabric: Arc::clone(&self.fabric),
-            client_ep: self.ep,
-            server,
-            slot,
-            slot_cap: self.slot_cap,
-            req_id,
-            timeout: self.timeout,
-            msg: msg.clone(),
-            retry: self.retry,
-            metrics: self.metrics.clone(),
-        });
         // Enforce slot reuse discipline: claim the slot by atomically
         // swapping our future in, then drain the previous occupant — it was
         // removed and drained in one step, so a concurrent issuer that lands
@@ -502,7 +486,36 @@ impl RpcClient {
         // slot, and the later response would overwrite the earlier one
         // before it was pulled). Draining before the send keeps the slot's
         // previous response intact until its future has read it.
-        let prev = self.slots.lock().insert((server, slot), fut.clone());
+        //
+        // The id is drawn under the same lock, so a slot's occupants arrive
+        // in id order. The server never publishes over a larger id in the
+        // slot (it reads a smaller one as a late duplicate), so an id that
+        // claimed its slot after a later one would never be answered.
+        let (fut, msg, prev) = {
+            let mut slots = self.slots.lock();
+            // ORDERING: Relaxed — the slots lock orders id allocation; the
+            // send itself synchronizes via the fabric.
+            let req_id = self.next_req.fetch_add(1, Ordering::Relaxed);
+            let slot = (req_id % SLOTS_PER_CLIENT) as u32;
+            let hdr = buf.vec_mut();
+            hdr[..8].copy_from_slice(&req_id.to_le_bytes());
+            hdr[8..12].copy_from_slice(&slot.to_le_bytes());
+            let msg = buf.freeze();
+            let fut = RawFuture::new(PendingResponse {
+                fabric: Arc::clone(&self.fabric),
+                client_ep: self.ep,
+                server,
+                slot,
+                slot_cap: self.slot_cap,
+                req_id,
+                timeout: self.timeout,
+                msg: msg.clone(),
+                retry: self.retry,
+                metrics: self.metrics.clone(),
+            });
+            let prev = slots.insert((server, slot), fut.clone());
+            (fut, msg, prev)
+        };
         if let Some(prev) = prev {
             if prev.try_get().is_none() {
                 if let Some(m) = &self.metrics {

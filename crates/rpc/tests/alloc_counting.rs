@@ -11,7 +11,7 @@
 //! codec overhaul left in place — so it sits outside the measured region.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use bytes::BytesMut;
 use hcl_databox::DataBox;
@@ -19,20 +19,29 @@ use hcl_rpc::{encode_batch_into, encode_request_header_into};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Per thread: the test threads run side by side, and a sibling test's
+    // (or the harness's) allocations are not the measured path's.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // A const-initialised `Cell` has no destructor, so this never fails.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
 
 // SAFETY: delegates every allocation verbatim to `System`; the counter is
 // the only addition and does not affect layout or pointer validity.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -41,7 +50,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 /// Encode one small-value request (header + `(k, v)` args) into `buf`.

@@ -122,6 +122,35 @@ fn many_clients_concurrent() {
 }
 
 #[test]
+fn threads_sharing_one_client_never_lose_a_response() {
+    // Request ids must claim their slot in id order: the server skips
+    // publishing a response whose slot already holds a larger id, so a
+    // thread that claimed a slot after a later id would wait forever.
+    let fabric: Arc<dyn Fabric> = Arc::new(MemoryFabric::new());
+    let server_ep = EpId::new(0, 0);
+    let counter = Arc::new(AtomicU64::new(0));
+    let _server = RpcServer::start(
+        server_ep,
+        Arc::clone(&fabric),
+        registry(counter),
+        ServerConfig { max_clients: 8, slot_cap: 256, nic_cores: 1, ..ServerConfig::default() },
+    );
+    let mut client = RpcClient::new(EpId::new(1, 1), Arc::clone(&fabric), 256);
+    client.set_timeout(Duration::from_secs(5));
+    let client = &client;
+    std::thread::scope(|s| {
+        for t in 0..4u64 {
+            s.spawn(move || {
+                for i in 0..2_000u64 {
+                    let got: u64 = client.invoke(server_ep, FN_ADD, &(i, t)).unwrap();
+                    assert_eq!(got, i + t);
+                }
+            });
+        }
+    });
+}
+
+#[test]
 fn slot_reuse_discipline_allows_unbounded_async_stream() {
     // Issue far more async invocations than there are slots without waiting;
     // the client must transparently drain previous slot occupants.

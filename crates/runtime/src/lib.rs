@@ -26,7 +26,7 @@
 use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 use std::time::Duration;
 
 use hcl_databox::DataBox;
@@ -38,7 +38,7 @@ use hcl_rpc::coalesce::{CoalesceConfig, CoalesceSnapshot, CoalescedFuture, Coale
 use hcl_rpc::server::{RpcServer, ServerConfig, ServerStatsSnapshot};
 use hcl_rpc::{FnId, RetryPolicy, RpcRegistry, RpcResult};
 use hcl_telemetry::{CoalesceMetrics, RpcMetrics, Telemetry, TelemetryConfig, TelemetrySnapshot};
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
 pub mod membership;
 
@@ -263,8 +263,73 @@ impl DownedRegistry {
     }
 }
 
+/// The ranks' barrier. A rank that panics poisons it, and every rank
+/// waiting at it (or arriving later) panics too: a failed rank fails its
+/// world instead of leaving the other ranks blocked forever.
+struct RankBarrier {
+    ranks: usize,
+    state: Mutex<BarrierState>,
+    cv: Condvar,
+}
+
+struct BarrierState {
+    arrived: usize,
+    generation: u64,
+    /// The first rank that panicked.
+    poisoned: Option<u32>,
+}
+
+impl RankBarrier {
+    fn new(ranks: usize) -> Self {
+        RankBarrier {
+            ranks,
+            state: Mutex::new(BarrierState { arrived: 0, generation: 0, poisoned: None }),
+            cv: Condvar::new(),
+        }
+    }
+
+    fn wait(&self) {
+        let mut st = self.state.lock();
+        let generation = st.generation;
+        st.arrived += 1;
+        if st.arrived == self.ranks {
+            st.arrived = 0;
+            st.generation += 1;
+            self.cv.notify_all();
+            return;
+        }
+        while st.generation == generation && st.poisoned.is_none() {
+            self.cv.wait(&mut st);
+        }
+        if st.generation == generation {
+            let rank = st.poisoned;
+            drop(st);
+            panic!("rank {} panicked; its world's barrier cannot complete", rank.unwrap_or(0));
+        }
+    }
+
+    fn poison(&self, rank: u32) {
+        self.state.lock().poisoned.get_or_insert(rank);
+        self.cv.notify_all();
+    }
+}
+
+/// Poisons the world's barrier if its rank unwinds.
+struct PoisonOnPanic {
+    world: Arc<WorldShared>,
+    rank: u32,
+}
+
+impl Drop for PoisonOnPanic {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.world.collectives.barrier.poison(self.rank);
+        }
+    }
+}
+
 struct Collectives {
-    barrier: Barrier,
+    barrier: RankBarrier,
     slots: Mutex<Vec<Option<Box<dyn Any + Send>>>>,
 }
 
@@ -639,7 +704,7 @@ impl World {
             fabric: Arc::clone(&fabric),
             registry: Arc::clone(&registry),
             collectives: Collectives {
-                barrier: Barrier::new(cfg.world_size() as usize),
+                barrier: RankBarrier::new(cfg.world_size() as usize),
                 slots: Mutex::new((0..cfg.world_size()).map(|_| None).collect()),
             },
             objects: Mutex::new(HashMap::new()),
@@ -698,6 +763,7 @@ impl World {
                 let shared = Arc::clone(&shared);
                 let f = &f;
                 handles.push(s.spawn(move || {
+                    let _poison = PoisonOnPanic { world: Arc::clone(&shared), rank: r };
                     let telemetry = Arc::new(Telemetry::new(r, cfg.telemetry));
                     let mut client =
                         RpcClient::new(cfg.ep_of(r), Arc::clone(&shared.fabric), cfg.slot_cap);
@@ -811,6 +877,24 @@ mod tests {
                 );
                 assert_eq!(root_val, round);
             }
+        });
+    }
+
+    #[test]
+    fn a_panicking_rank_fails_its_world_instead_of_hanging() {
+        let cfg = WorldConfig { nodes: 1, ranks_per_node: 3, ..WorldConfig::small() };
+        let run = std::panic::catch_unwind(|| {
+            World::run(cfg, |rank| {
+                rank.barrier();
+                assert_ne!(rank.id(), 1, "rank 1 fails between barriers");
+                rank.barrier();
+            })
+        });
+        assert!(run.is_err(), "a world with a panicked rank must not return normally");
+        // Barrier generations keep working in later worlds.
+        World::run(cfg, |rank| {
+            rank.barrier();
+            rank.barrier();
         });
     }
 
