@@ -11,12 +11,14 @@
 //! * owner resolution through the world's epoch-versioned
 //!   [`hcl_runtime::PartitionMap`] (or a pinned map for containers with an
 //!   explicit placement) and cached endpoint lookup ([`EpCache`] — no per-op
-//!   `ep_of` recomputation); keyed sync ops tag their RPC with the resolved
-//!   epoch and transparently re-resolve on a typed
-//!   [`RpcError::WrongEpoch`] rejection (see [`Dispatcher::sync_keyed`]);
+//!   `ep_of` recomputation); keyed sync ops ([`Route::Key`]) tag their RPC
+//!   with the resolved epoch and transparently re-resolve on a typed
+//!   [`RpcError::WrongEpoch`] rejection;
 //! * the hybrid local bypass decision;
-//! * sync, async (coalesced, §III-B) and bulk (`FLAG_BATCH` aggregated)
-//!   issue, with flush-before-sync program ordering preserved;
+//! * three issue modes, one method each: [`Dispatcher::sync`],
+//!   [`Dispatcher::dispatch_async`] (coalesced, §III-B) and
+//!   [`Dispatcher::bulk`] (`FLAG_BATCH` aggregated), with flush-before-send
+//!   program ordering preserved;
 //! * downed-rank graceful degradation ([`DownedRegistry`]): any degradable
 //!   op against a marked-down owner fails fast with
 //!   [`HclError::OwnerDown`] instead of hanging — replica reads opt out so
@@ -36,7 +38,7 @@ use std::marker::PhantomData;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hcl_databox::DataBox;
+use hcl_databox::{DataBox, Pack};
 use hcl_fabric::{EpId, Fabric};
 use hcl_rpc::batch::BatchArena;
 use hcl_rpc::client::{BatchFuture, RawFuture, RpcClient};
@@ -114,11 +116,6 @@ pub struct OpDescriptor {
     pub fn_off: u32,
     /// Client-side Table I cost signature of the local bypass.
     pub cost: CostSig,
-    /// True when re-executing the op is harmless. All ops currently travel
-    /// under the rank-level retry policy (which tags retried requests
-    /// idempotent and dedups server-side); this flag is the descriptor seam
-    /// for per-op retry policy selection.
-    pub idempotent: bool,
     /// Degradable ops fail fast with [`HclError::OwnerDown`] when the owner
     /// is marked down. Replica reads and replication control set this to
     /// `false` so failover paths still reach their (possibly marked) hosts.
@@ -315,11 +312,36 @@ impl OwnerMap {
     }
 }
 
+/// Where a synchronous op goes ([`Dispatcher::sync`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Route {
+    /// The owner of this stable key hash, resolved through the handle's
+    /// [`OwnerMap`]: epoch-tagged on live maps and re-resolved on a
+    /// [`RpcError::WrongEpoch`] rejection; untagged on pinned maps.
+    Key(u64),
+    /// A fixed owner rank (fan-out legs, replica reads, single-partition
+    /// containers, migration control), untagged. `key_hash` (0 when the op
+    /// has no single key) reaches observers such as the hot-key detector.
+    Owner {
+        /// The rank that serves the op.
+        rank: u32,
+        /// Stable hash of the op's key, or 0.
+        key_hash: u64,
+    },
+}
+
+impl Route {
+    /// A fixed owner, keyless.
+    pub const fn to(rank: u32) -> Route {
+        Route::Owner { rank, key_hash: 0 }
+    }
+}
+
 /// Bound on owner re-resolutions after [`RpcError::WrongEpoch`] rejections
 /// before the op gives up with [`HclError::WrongEpoch`]. One rejection per
 /// committed epoch bump is the expected steady state; chains longer than
 /// this mean the membership is churning faster than a client round trip.
-const EPOCH_RETRY_MAX: u32 = 4;
+pub const EPOCH_RETRY_MAX: u32 = 4;
 
 impl<'a> Dispatcher<'a> {
     /// Build the engine for one container handle. `hybrid` enables the
@@ -524,56 +546,6 @@ impl<'a> Dispatcher<'a> {
         }
     }
 
-    /// One synchronous remote invocation, stamped when a version sink is
-    /// installed (plain otherwise). Flush-before-sync ordering is preserved
-    /// by both [`Rank::invoke`] and [`Rank::invoke_stamped`].
-    fn invoke_sync<A, R>(&self, owner: u32, fn_id: FnId, args: &A) -> RpcResult<R>
-    where
-        A: DataBox,
-        R: DataBox,
-    {
-        match &self.version_sink {
-            Some(sink) => {
-                self.rank.invoke_stamped(self.ep(owner), fn_id, args).map(|(stamp, v)| {
-                    if stamp != 0 {
-                        sink(owner, stamp);
-                    }
-                    v
-                })
-            }
-            None => self.rank.invoke(self.ep(owner), fn_id, args),
-        }
-    }
-
-    /// One synchronous remote invocation carrying an ownership-epoch tag
-    /// ([`hcl_rpc::FLAG_EPOCH`]); stamped when a version sink is installed.
-    /// The sink only sees stamps of *executed* requests — a rejection moved
-    /// no partition version.
-    fn invoke_sync_tagged<A, R>(
-        &self,
-        owner: u32,
-        fn_id: FnId,
-        tag: Option<u64>,
-        args: &A,
-    ) -> RpcResult<R>
-    where
-        A: DataBox,
-        R: DataBox,
-    {
-        let Some(epoch) = tag else {
-            return self.invoke_sync(owner, fn_id, args);
-        };
-        let stamped = self.version_sink.is_some();
-        self.rank.invoke_epoch(self.ep(owner), fn_id, epoch, stamped, args).map(|(stamp, v)| {
-            if stamp != 0 {
-                if let Some(sink) = &self.version_sink {
-                    sink(owner, stamp);
-                }
-            }
-            v
-        })
-    }
-
     /// Count a wrong-epoch rejection against the membership counters (live
     /// maps only; pinned maps cannot be rejected).
     fn note_wrong_epoch(&self) {
@@ -582,42 +554,64 @@ impl<'a> Dispatcher<'a> {
         }
     }
 
-    /// Synchronous dispatch of a keyed op whose arguments are consumed by
-    /// the local apply (`put(key, value)`-shaped ops): the engine resolves
-    /// the owner from the owner map, tags the RPC with the resolved epoch
-    /// (live maps), and on a [`RpcError::WrongEpoch`] rejection re-resolves
-    /// and retries up to [`EPOCH_RETRY_MAX`] times before giving up typed
-    /// ([`HclError::WrongEpoch`]). `local` receives the resolved owner rank
-    /// so the container can pick its co-located partition.
-    pub fn sync_keyed<A, R>(
+    /// Synchronous dispatch: the one remote-call path of every sync op.
+    ///
+    /// `route` picks the owner (see [`Route`]); a keyed route on a live map
+    /// tags the RPC with the resolved epoch and, on a
+    /// [`RpcError::WrongEpoch`] rejection, re-resolves and retries up to
+    /// [`EPOCH_RETRY_MAX`] times before giving up typed
+    /// ([`HclError::WrongEpoch`]). `n` is the op's element count: the local
+    /// charge of a scaled cost signature multiplies by it, and a scaled op
+    /// travels remotely as one batched invocation (Table I `F + L + E·R/W`).
+    ///
+    /// `args` are handed to `local` (with the resolved owner) on the hybrid
+    /// bypass and packed by reference for the RPC, so owned arguments
+    /// (`put(key, value)`) move into the local apply and borrowed ones
+    /// (`get(&key)`) are never cloned. Sync and bulk sends are flushed
+    /// first ([`Rank::invoke_tagged`]): a sync op observes every async op
+    /// this rank staged earlier for the same owner. When a version sink is
+    /// installed the request travels `FLAG_STAMPED`, and the sink sees the
+    /// stamps of *executed* requests only (a rejection moved no version).
+    pub fn sync<A, R>(
         &self,
         op: &'static OpDescriptor,
-        key_hash: u64,
+        route: Route,
+        n: u64,
         args: A,
         local: impl FnOnce(u32, A) -> R,
     ) -> HclResult<R>
     where
-        A: DataBox,
+        A: Pack,
         R: DataBox,
     {
-        // Option-wrapped so the borrow checker accepts the FnOnce/owned-args
-        // consumption inside the retry loop: the local arm (the only
-        // consumer) is terminal.
+        let mode = if op.cost.scale_r || op.cost.scale_w {
+            IssueMode::Bulk { ops: 1 }
+        } else {
+            IssueMode::Sync
+        };
+        // Option-wrapped so the borrow checker accepts consuming the args
+        // and the FnOnce inside the retry loop: the local arm is terminal.
         let mut slot = Some((args, local));
         let mut rejects = 0u32;
         loop {
-            let (owner, tag) = self.resolve(key_hash);
-            let ev = OpEvent { container: self.container, op, owner, n: 1, key_hash };
+            let (owner, epoch, key_hash) = match route {
+                Route::Key(hash) => {
+                    let (owner, epoch) = self.resolve(hash);
+                    (owner, epoch, hash)
+                }
+                Route::Owner { rank, key_hash } => (rank, None, key_hash),
+            };
+            let ev = OpEvent { container: self.container, op, owner, n, key_hash };
             self.gate(&ev)?;
             if self.is_local(owner) {
                 let (args, local) = slot.take().expect("local arm is terminal");
                 return Ok(self.run_local(&ev, || local(owner, args)));
             }
             let t0 = self.now();
-            self.each(|o| o.on_issue(&ev, IssueMode::Sync));
+            self.each(|o| o.on_issue(&ev, mode));
             let args = &slot.as_ref().expect("args retained across retries").0;
-            let res = self.invoke_sync_tagged(owner, self.fn_base + op.fn_off, tag, args);
-            match res {
+            let (fn_id, stamped) = (self.fn_base + op.fn_off, self.version_sink.is_some());
+            match self.rank.invoke_tagged(self.ep(owner), fn_id, epoch, stamped, args) {
                 Err(RpcError::WrongEpoch { sent, current }) => {
                     self.note_wrong_epoch();
                     self.each(|o| o.on_complete(&ev, Locality::Remote, Self::elapsed(t0), false));
@@ -626,152 +620,22 @@ impl<'a> Dispatcher<'a> {
                         return Err(HclError::WrongEpoch { sent, current });
                     }
                 }
-                res => return self.finish_remote(&ev, t0, res),
-            }
-        }
-    }
-
-    /// [`Dispatcher::sync_keyed`] with borrowed arguments (`get(&key)`-
-    /// shaped ops).
-    pub fn sync_keyed_ref<A, R>(
-        &self,
-        op: &'static OpDescriptor,
-        key_hash: u64,
-        args: &A,
-        local: impl FnOnce(u32) -> R,
-    ) -> HclResult<R>
-    where
-        A: DataBox,
-        R: DataBox,
-    {
-        let mut local = Some(local);
-        let mut rejects = 0u32;
-        loop {
-            let (owner, tag) = self.resolve(key_hash);
-            let ev = OpEvent { container: self.container, op, owner, n: 1, key_hash };
-            self.gate(&ev)?;
-            if self.is_local(owner) {
-                let local = local.take().expect("local arm is terminal");
-                return Ok(self.run_local(&ev, || local(owner)));
-            }
-            let t0 = self.now();
-            self.each(|o| o.on_issue(&ev, IssueMode::Sync));
-            let res = self.invoke_sync_tagged(owner, self.fn_base + op.fn_off, tag, args);
-            match res {
-                Err(RpcError::WrongEpoch { sent, current }) => {
-                    self.note_wrong_epoch();
-                    self.each(|o| o.on_complete(&ev, Locality::Remote, Self::elapsed(t0), false));
-                    rejects += 1;
-                    if rejects > EPOCH_RETRY_MAX {
-                        return Err(HclError::WrongEpoch { sent, current });
+                res => {
+                    if let (Ok((stamp, _)), Some(sink)) = (&res, &self.version_sink) {
+                        if *stamp != 0 {
+                            sink(owner, *stamp);
+                        }
                     }
+                    return self.finish_remote(&ev, t0, res.map(|(_, v)| v));
                 }
-                res => return self.finish_remote(&ev, t0, res),
             }
         }
     }
 
-    /// Synchronous dispatch of an op whose arguments are consumed by the
-    /// local apply (`put(key, value)`-shaped ops). The remote path borrows
-    /// the arguments; flush-before-sync ordering is preserved by
-    /// [`Rank::invoke`].
-    pub fn sync<A, R>(
-        &self,
-        op: &'static OpDescriptor,
-        owner: u32,
-        args: A,
-        local: impl FnOnce(A) -> R,
-    ) -> HclResult<R>
-    where
-        A: DataBox,
-        R: DataBox,
-    {
-        let ev = OpEvent { container: self.container, op, owner, n: 1, key_hash: 0 };
-        self.gate(&ev)?;
-        if self.is_local(owner) {
-            Ok(self.run_local(&ev, || local(args)))
-        } else {
-            let t0 = self.now();
-            self.each(|o| o.on_issue(&ev, IssueMode::Sync));
-            let res = self.invoke_sync(owner, self.fn_base + op.fn_off, &args);
-            self.finish_remote(&ev, t0, res)
-        }
-    }
-
-    /// Synchronous dispatch of an op with borrowed arguments (`get(&key)`-
-    /// shaped ops; also the fan-out legs of len/snapshot/flush).
-    pub fn sync_ref<A, R>(
-        &self,
-        op: &'static OpDescriptor,
-        owner: u32,
-        args: &A,
-        local: impl FnOnce() -> R,
-    ) -> HclResult<R>
-    where
-        A: DataBox,
-        R: DataBox,
-    {
-        self.sync_ref_keyed(op, owner, 0, args, local)
-    }
-
-    /// [`Dispatcher::sync_ref`] carrying the op's stable key hash in its
-    /// [`OpEvent`], so keyed observers (the hot-key detector) can attribute
-    /// the dispatch to a key without re-hashing. Pass 0 for keyless ops.
-    pub fn sync_ref_keyed<A, R>(
-        &self,
-        op: &'static OpDescriptor,
-        owner: u32,
-        key_hash: u64,
-        args: &A,
-        local: impl FnOnce() -> R,
-    ) -> HclResult<R>
-    where
-        A: DataBox,
-        R: DataBox,
-    {
-        let ev = OpEvent { container: self.container, op, owner, n: 1, key_hash };
-        self.gate(&ev)?;
-        if self.is_local(owner) {
-            Ok(self.run_local(&ev, local))
-        } else {
-            let t0 = self.now();
-            self.each(|o| o.on_issue(&ev, IssueMode::Sync));
-            let res = self.invoke_sync(owner, self.fn_base + op.fn_off, args);
-            self.finish_remote(&ev, t0, res)
-        }
-    }
-
-    /// Synchronous dispatch of a single-message bulk op carrying `n`
-    /// elements (queue/pq `push_bulk`/`pop_bulk`): the local charge scales
-    /// by `n` per the descriptor's cost signature; the remote charge is one
-    /// invocation classified as batched (Table I `F + L + E·R/W`).
-    pub fn sync_scaled<A, R>(
-        &self,
-        op: &'static OpDescriptor,
-        owner: u32,
-        n: u64,
-        args: A,
-        local: impl FnOnce(A) -> R,
-    ) -> HclResult<R>
-    where
-        A: DataBox,
-        R: DataBox,
-    {
-        let ev = OpEvent { container: self.container, op, owner, n, key_hash: 0 };
-        self.gate(&ev)?;
-        if self.is_local(owner) {
-            Ok(self.run_local(&ev, || local(args)))
-        } else {
-            let t0 = self.now();
-            self.each(|o| o.on_issue(&ev, IssueMode::Bulk { ops: 1 }));
-            let res = self.invoke_sync(owner, self.fn_base + op.fn_off, &args);
-            self.finish_remote(&ev, t0, res)
-        }
-    }
-
-    /// Asynchronous dispatch (§III-C4): local bypass resolves immediately;
-    /// remote ops stage on the rank's op coalescer and may ride a batched
-    /// message with neighbouring async ops (§III-B).
+    /// Asynchronous dispatch (§III-C4) to a fixed `owner`: the local bypass
+    /// resolves immediately; remote ops stage on the rank's op coalescer and
+    /// may ride a batched message with neighbouring async ops (§III-B).
+    /// (`async` is a keyword, hence the name.)
     pub fn dispatch_async<A, R>(
         &self,
         op: &'static OpDescriptor,
@@ -780,57 +644,26 @@ impl<'a> Dispatcher<'a> {
         local: impl FnOnce(A) -> R,
     ) -> HclResult<HclFuture<R>>
     where
-        A: DataBox,
+        A: Pack,
         R: DataBox,
     {
         let ev = OpEvent { container: self.container, op, owner, n: 1, key_hash: 0 };
         self.gate(&ev)?;
         if self.is_local(owner) {
-            Ok(HclFuture::Ready(self.run_local(&ev, || local(args))))
-        } else {
-            let coalesced = self.rank.coalescing_enabled();
-            self.each(|o| o.on_issue(&ev, IssueMode::Async { coalesced }));
-            Ok(HclFuture::Coalesced(self.rank.invoke_coalesced(
-                self.ep(owner),
-                self.fn_base + op.fn_off,
-                &args,
-            )?))
+            return Ok(HclFuture::Ready(self.run_local(&ev, || local(args))));
         }
-    }
-
-    /// [`Dispatcher::dispatch_async`] with borrowed arguments.
-    pub fn dispatch_async_ref<A, R>(
-        &self,
-        op: &'static OpDescriptor,
-        owner: u32,
-        args: &A,
-        local: impl FnOnce() -> R,
-    ) -> HclResult<HclFuture<R>>
-    where
-        A: DataBox,
-        R: DataBox,
-    {
-        let ev = OpEvent { container: self.container, op, owner, n: 1, key_hash: 0 };
-        self.gate(&ev)?;
-        if self.is_local(owner) {
-            Ok(HclFuture::Ready(self.run_local(&ev, local)))
-        } else {
-            let coalesced = self.rank.coalescing_enabled();
-            self.each(|o| o.on_issue(&ev, IssueMode::Async { coalesced }));
-            Ok(HclFuture::Coalesced(self.rank.invoke_coalesced(
-                self.ep(owner),
-                self.fn_base + op.fn_off,
-                args,
-            )?))
-        }
+        let coalesced = self.rank.coalescing_enabled();
+        self.each(|o| o.on_issue(&ev, IssueMode::Async { coalesced }));
+        let fut = self.rank.invoke_coalesced(self.ep(owner), self.fn_base + op.fn_off, &args)?;
+        Ok(HclFuture::Coalesced(fut))
     }
 
     /// Bulk dispatch of one owner's group with request aggregation
     /// (§III-B): the local bypass applies each element (charging the cost
     /// signature per element); the remote path packs the whole group into
-    /// one arena and ships a single `FLAG_BATCH` message. Staged async ops
-    /// for the destination are flushed first so the explicit batch keeps
-    /// per-destination program order.
+    /// one arena and ships a single `FLAG_BATCH` message, flushed first
+    /// like a sync op. Items may be owned or borrowed (`&key`); results
+    /// align with `items` order on both paths.
     pub fn bulk<A, R>(
         &self,
         op: &'static OpDescriptor,
@@ -839,78 +672,28 @@ impl<'a> Dispatcher<'a> {
         mut local: impl FnMut(A) -> R,
     ) -> HclResult<BulkReply<R>>
     where
-        A: DataBox,
+        A: Pack,
         R: DataBox,
     {
-        self.gate(&OpEvent { container: self.container, op, owner, n: items.len() as u64, key_hash: 0 })?;
+        let n = items.len() as u64;
+        let ev = OpEvent { container: self.container, op, owner, n, key_hash: 0 };
+        self.gate(&ev)?;
         if self.is_local(owner) {
-            let out = items
-                .into_iter()
-                .map(|a| {
-                    let ev = OpEvent { container: self.container, op, owner, n: 1, key_hash: 0 };
-                    self.run_local(&ev, || local(a))
-                })
-                .collect();
-            Ok(BulkReply::Ready(out))
-        } else {
-            let n = items.len() as u64;
-            let ev = OpEvent { container: self.container, op, owner, n, key_hash: 0 };
-            self.each(|o| o.on_issue(&ev, IssueMode::Bulk { ops: n }));
-            let mut arena = BatchArena::with_capacity(
-                self.fn_base + op.fn_off,
-                items.len(),
-                items.first().map_or(16, |a| a.size_hint()),
-            );
-            for a in &items {
-                arena.push(a);
-            }
-            let ep = self.ep(owner);
-            self.rank.coalescer().flush(ep);
-            let fut = self.rank.client().invoke_batch_slices(ep, arena.calls())?;
-            Ok(BulkReply::Pending(fut, PhantomData))
+            let one = OpEvent { n: 1, ..ev };
+            let out = items.into_iter().map(|a| self.run_local(&one, || local(a))).collect();
+            return Ok(BulkReply::Ready(out));
         }
-    }
-
-    /// [`Dispatcher::bulk`] over borrowed items (`get_batch`-shaped ops).
-    /// Results align with `items` order in both paths.
-    pub fn bulk_ref<A, R>(
-        &self,
-        op: &'static OpDescriptor,
-        owner: u32,
-        items: &[&A],
-        mut local: impl FnMut(&A) -> R,
-    ) -> HclResult<BulkReply<R>>
-    where
-        A: DataBox,
-        R: DataBox,
-    {
-        self.gate(&OpEvent { container: self.container, op, owner, n: items.len() as u64, key_hash: 0 })?;
-        if self.is_local(owner) {
-            let out = items
-                .iter()
-                .map(|a| {
-                    let ev = OpEvent { container: self.container, op, owner, n: 1, key_hash: 0 };
-                    self.run_local(&ev, || local(a))
-                })
-                .collect();
-            Ok(BulkReply::Ready(out))
-        } else {
-            let n = items.len() as u64;
-            let ev = OpEvent { container: self.container, op, owner, n, key_hash: 0 };
-            self.each(|o| o.on_issue(&ev, IssueMode::Bulk { ops: n }));
-            let mut arena = BatchArena::with_capacity(
-                self.fn_base + op.fn_off,
-                items.len(),
-                items.first().map_or(16, |a| a.size_hint()),
-            );
-            for a in items {
-                arena.push(*a);
-            }
-            let ep = self.ep(owner);
-            self.rank.coalescer().flush(ep);
-            let fut = self.rank.client().invoke_batch_slices(ep, arena.calls())?;
-            Ok(BulkReply::Pending(fut, PhantomData))
+        self.each(|o| o.on_issue(&ev, IssueMode::Bulk { ops: n }));
+        let mut arena = BatchArena::with_capacity(
+            self.fn_base + op.fn_off,
+            items.len(),
+            items.first().map_or(16, |a| a.pack_hint()),
+        );
+        for a in &items {
+            arena.push(a);
         }
+        let fut = self.rank.invoke_batch(self.ep(owner), arena.calls())?;
+        Ok(BulkReply::Pending(fut, PhantomData))
     }
 
     /// Attach the shared history recorder (feature `history`): synchronous

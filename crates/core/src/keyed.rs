@@ -35,7 +35,7 @@ use parking_lot::{Mutex, MutexGuard, RwLock};
 use crate::cache::{LeaseCache, LeaseConfig};
 use crate::cost::{CostCounters, CostSnapshot};
 use crate::dispatch::{
-    hist_invoke, hist_return, Dispatcher, OpDescriptor, OwnerMap, ReplForwarder,
+    hist_invoke, hist_return, Dispatcher, OpDescriptor, OwnerMap, ReplForwarder, Route,
 };
 use crate::persist::{Flusher, OpLog, PersistConfig, PersistMetrics};
 use crate::rebalance::{MigratorRegistry, ShardMigrator};
@@ -122,40 +122,19 @@ macro_rules! keyed_ops {
         const R1: CostSig = CostSig::lrw(1, 1, 0);
         KeyedOps {
             label: $label,
-            put: desc(concat!($label, ".put"), Write, FN_PUT, W1, false, true),
-            get: desc(concat!($label, ".get"), Read, FN_GET, R1, true, true),
-            erase: desc(concat!($label, ".erase"), Write, FN_ERASE, W1, false, true),
-            len: desc(concat!($label, ".len"), Admin, FN_LEN, ZERO, true, true),
-            snapshot: desc(concat!($label, ".snapshot"), Admin, FN_SNAPSHOT, ZERO, true, true),
-            resize: desc(concat!($label, ".resize"), Admin, FN_RESIZE, ZERO, true, true),
-            repl_get: desc(concat!($label, ".repl_get"), Read, FN_REPL_GET, ZERO, true, false),
-            repl_flush: desc(
-                concat!($label, ".repl_flush"),
-                Admin,
-                FN_REPL_FLUSH,
-                ZERO,
-                true,
-                false,
-            ),
-            mig_arm: desc(concat!($label, ".mig_arm"), Admin, FN_MIG_ARM, ZERO, true, true),
-            mig_begin: desc(concat!($label, ".mig_begin"), Admin, FN_MIG_BEGIN, ZERO, true, true),
-            mig_extract: desc(
-                concat!($label, ".mig_extract"),
-                Admin,
-                FN_MIG_EXTRACT,
-                ZERO,
-                true,
-                true,
-            ),
-            mig_install: desc(
-                concat!($label, ".mig_install"),
-                Write,
-                FN_MIG_INSTALL,
-                W1,
-                true,
-                true,
-            ),
-            mig_end: desc(concat!($label, ".mig_end"), Admin, FN_MIG_END, ZERO, true, true),
+            put: desc(concat!($label, ".put"), Write, FN_PUT, W1, true),
+            get: desc(concat!($label, ".get"), Read, FN_GET, R1, true),
+            erase: desc(concat!($label, ".erase"), Write, FN_ERASE, W1, true),
+            len: desc(concat!($label, ".len"), Admin, FN_LEN, ZERO, true),
+            snapshot: desc(concat!($label, ".snapshot"), Admin, FN_SNAPSHOT, ZERO, true),
+            resize: desc(concat!($label, ".resize"), Admin, FN_RESIZE, ZERO, true),
+            repl_get: desc(concat!($label, ".repl_get"), Read, FN_REPL_GET, ZERO, false),
+            repl_flush: desc(concat!($label, ".repl_flush"), Admin, FN_REPL_FLUSH, ZERO, false),
+            mig_arm: desc(concat!($label, ".mig_arm"), Admin, FN_MIG_ARM, ZERO, true),
+            mig_begin: desc(concat!($label, ".mig_begin"), Admin, FN_MIG_BEGIN, ZERO, true),
+            mig_extract: desc(concat!($label, ".mig_extract"), Admin, FN_MIG_EXTRACT, ZERO, true),
+            mig_install: desc(concat!($label, ".mig_install"), Write, FN_MIG_INSTALL, W1, true),
+            mig_end: desc(concat!($label, ".mig_end"), Admin, FN_MIG_END, ZERO, true),
         }
     }};
 }
@@ -167,10 +146,9 @@ pub(crate) const fn desc(
     class: crate::dispatch::OpClass,
     fn_off: u32,
     cost: crate::dispatch::CostSig,
-    idempotent: bool,
     degradable: bool,
 ) -> OpDescriptor {
-    OpDescriptor { name, class, fn_off, cost, idempotent, degradable }
+    OpDescriptor { name, class, fn_off, cost, degradable }
 }
 
 /// Op-log record: `(tag, key, value)`; tag 0 = put, 1 = erase.
@@ -586,28 +564,32 @@ impl<S: LocalStore> KeyedCore<S> {
                 log
             });
             let order = log.as_ref().map(|_| (0..ORDER_STRIPES).map(|_| Mutex::new(())).collect());
-            parts.insert(
-                owner,
-                Arc::new(KeyedPart {
-                    index: leader.unwrap_or(0),
-                    home: owner,
-                    store,
-                    replica: (spec.new_store)(),
-                    log,
-                    order,
-                    local_seq: AtomicU64::new(0),
-                    repl: ReplForwarder::new(owner, world),
-                    fn_base,
-                    servers: servers.clone(),
-                    replicas: if leader.is_some() { spec.replicas } else { 0 },
-                    costs: CostCounters::default(),
-                    version: AtomicU64::new(0),
-                    membership: (!pinned).then(|| Arc::clone(world.membership())),
-                    forwarding: RwLock::new(HashMap::new()),
-                    tombstones: Mutex::new(HashSet::new()),
-                    installed: Mutex::new(Vec::new()),
-                }),
-            );
+            let part = Arc::new(KeyedPart {
+                index: leader.unwrap_or(0),
+                home: owner,
+                store,
+                replica: (spec.new_store)(),
+                log,
+                order,
+                local_seq: AtomicU64::new(0),
+                repl: ReplForwarder::new(owner, world),
+                fn_base,
+                servers: servers.clone(),
+                replicas: if leader.is_some() { spec.replicas } else { 0 },
+                costs: CostCounters::default(),
+                version: AtomicU64::new(0),
+                membership: (!pinned).then(|| Arc::clone(world.membership())),
+                forwarding: RwLock::new(HashMap::new()),
+                tombstones: Mutex::new(HashSet::new()),
+                installed: Mutex::new(Vec::new()),
+            });
+            // Replay identities restart in every world, so a later world's
+            // appends could dedup against this history: compact a replayed
+            // log to the live contents (anonymous records) before any append.
+            if part.log.as_ref().is_some_and(|l| l.replay_report().replayed > 0) {
+                part.compact().expect("compact replayed partition log");
+            }
+            parts.insert(owner, part);
         }
         bind_handlers(world.registry(), fn_base, spec.n_fns, &parts);
         if !pinned {
@@ -831,8 +813,9 @@ impl<'a, S: LocalStore> KeyedMap<'a, S> {
             }
         );
         let hash = crate::stable_hash(&key);
-        let result = self.d.sync_keyed(&self.core.ops.put, hash, (key, value), |owner, (k, v)| {
-            self.core.part(owner).put(k, v)
+        let route = Route::Key(hash);
+        let result = self.d.sync(&self.core.ops.put, route, 1, (key, value), |o, (k, v)| {
+            self.core.part(o).put(k, v)
         });
         hist_return!(self.d, tok, &result, |newly| crate::DsRet::Inserted(*newly));
         result
@@ -876,7 +859,7 @@ impl<'a, S: LocalStore> KeyedMap<'a, S> {
 
     /// Plain keyed lookup at the current owner.
     pub(crate) fn get_owner(&self, hash: u64, key: &S::K) -> HclResult<Option<S::V>> {
-        self.d.sync_keyed_ref(&self.core.ops.get, hash, key, |owner| self.core.part(owner).get(key))
+        self.d.sync(&self.core.ops.get, Route::Key(hash), 1, key, |o, k| self.core.part(o).get(k))
     }
 
     /// Replica read: replicas live on the *static* ring regardless of
@@ -886,8 +869,8 @@ impl<'a, S: LocalStore> KeyedMap<'a, S> {
         let succ = self.core.repl_map.member_index_of_hash(hash) + 1;
         let succ = if succ >= nparts { succ - nparts } else { succ };
         let replica_owner = self.core.servers[succ];
-        self.d.sync_ref(&self.core.ops.repl_get, replica_owner, key, || {
-            self.core.part(replica_owner).replica.get(key)
+        self.d.sync(&self.core.ops.repl_get, Route::to(replica_owner), 1, key, |o, k| {
+            self.core.part(o).replica.get(k)
         })
     }
 
@@ -895,8 +878,8 @@ impl<'a, S: LocalStore> KeyedMap<'a, S> {
     pub fn erase(&self, key: &S::K) -> HclResult<Option<S::V>> {
         let tok = hist_invoke!(self.d, crate::DsOp::MapErase { key: crate::history_enc(key) });
         let hash = crate::stable_hash(key);
-        let result = self.d.sync_keyed_ref(&self.core.ops.erase, hash, key, |owner| {
-            self.core.part(owner).erase(key)
+        let result = self.d.sync(&self.core.ops.erase, Route::Key(hash), 1, key, |o, k| {
+            self.core.part(o).erase(k)
         });
         hist_return!(self.d, tok, &result, |v| crate::DsRet::Value(
             v.as_ref().map(crate::history_enc)
@@ -915,8 +898,8 @@ impl<'a, S: LocalStore> KeyedMap<'a, S> {
         let map = self.d.owner_map().current();
         let mut total = 0u64;
         for &owner in map.members() {
-            total += self.d.sync_ref(&self.core.ops.len, owner, &(), || {
-                self.core.part(owner).store.len() as u64
+            total += self.d.sync(&self.core.ops.len, Route::to(owner), 1, (), |o, ()| {
+                self.core.part(o).store.len() as u64
             })?;
         }
         Ok(total)
@@ -934,8 +917,8 @@ impl<'a, S: LocalStore> KeyedMap<'a, S> {
     pub fn resize(&self, partition_id: usize, new_size: usize) -> HclResult<bool> {
         let map = self.d.owner_map().current();
         let owner = *map.members().get(partition_id).ok_or(HclError::BadPartition(partition_id))?;
-        self.d.sync_ref(&self.core.ops.resize, owner, &(new_size as u64), || {
-            self.core.part(owner).store.resize(new_size);
+        self.d.sync(&self.core.ops.resize, Route::to(owner), 1, new_size as u64, |o, _| {
+            self.core.part(o).store.resize(new_size);
             true
         })
     }
@@ -945,10 +928,9 @@ impl<'a, S: LocalStore> KeyedMap<'a, S> {
         let map = self.d.owner_map().current();
         let mut out = Vec::new();
         for &owner in map.members() {
-            let part: Vec<(S::K, S::V)> =
-                self.d.sync_ref(&self.core.ops.snapshot, owner, &(), || {
-                    self.core.part(owner).store.snapshot()
-                })?;
+            let part = self.d.sync(&self.core.ops.snapshot, Route::to(owner), 1, (), |o, ()| {
+                self.core.part(o).store.snapshot()
+            })?;
             out.extend(part);
         }
         Ok(out)
@@ -971,8 +953,8 @@ impl<'a, S: LocalStore> KeyedMap<'a, S> {
     /// been acknowledged.
     pub fn flush_replication(&self) -> HclResult<()> {
         for &owner in &self.core.servers {
-            let _: bool = self.d.sync_ref(&self.core.ops.repl_flush, owner, &(), || {
-                self.core.part(owner).flush_replication();
+            self.d.sync(&self.core.ops.repl_flush, Route::to(owner), 1, (), |o, ()| {
+                self.core.part(o).flush_replication();
                 true
             })?;
         }
@@ -1019,12 +1001,12 @@ impl<S: LocalStore> ShardMigrator for KeyedMigrator<S> {
         let (d, ops, vp) = (self.dispatcher(rank), self.core.ops, mv.vpart as u64);
         // Arm the target first: its window bookkeeping must be clean before
         // the source starts forwarding writes into it.
-        let _: bool = d.sync_ref(&ops.mig_arm, mv.to, &vp, || {
-            self.core.part(mv.to).mig_arm(mv.vpart);
+        d.sync(&ops.mig_arm, Route::to(mv.to), 1, vp, |o, _| {
+            self.core.part(o).mig_arm(mv.vpart);
             true
         })?;
-        let _: bool = d.sync_ref(&ops.mig_begin, mv.from, &(vp, mv.to), || {
-            self.core.part(mv.from).mig_begin(mv.vpart, mv.to);
+        d.sync(&ops.mig_begin, Route::to(mv.from), 1, (vp, mv.to), |o, _| {
+            self.core.part(o).mig_begin(mv.vpart, mv.to);
             true
         })?;
         Ok(())
@@ -1032,8 +1014,8 @@ impl<S: LocalStore> ShardMigrator for KeyedMigrator<S> {
 
     fn transfer(&self, rank: &Rank, mv: &ShardMove) -> HclResult<(u64, u64)> {
         let (d, ops, vp) = (self.dispatcher(rank), self.core.ops, mv.vpart as u64);
-        let entries: Vec<(S::K, S::V)> = d.sync_ref(&ops.mig_extract, mv.from, &vp, || {
-            self.core.part(mv.from).mig_extract(mv.vpart)
+        let entries = d.sync(&ops.mig_extract, Route::to(mv.from), 1, vp, |o, _| {
+            self.core.part(o).mig_extract(mv.vpart)
         })?;
         let keys = entries.len() as u64;
         let bytes: u64 = entries.iter().map(|e| e.to_bytes().len() as u64).sum();
@@ -1051,12 +1033,12 @@ impl<S: LocalStore> ShardMigrator for KeyedMigrator<S> {
         let (d, ops, vp) = (self.dispatcher(rank), self.core.ops, mv.vpart as u64);
         // Source first: it stops forwarding, flushes in-flight forwards to
         // the target, then (on commit) purges the moved entries.
-        let _: bool = d.sync_ref(&ops.mig_end, mv.from, &(vp, committed, true), || {
-            self.core.part(mv.from).mig_end(mv.vpart, committed, true);
+        d.sync(&ops.mig_end, Route::to(mv.from), 1, (vp, committed, true), |o, _| {
+            self.core.part(o).mig_end(mv.vpart, committed, true);
             true
         })?;
-        let _: bool = d.sync_ref(&ops.mig_end, mv.to, &(vp, committed, false), || {
-            self.core.part(mv.to).mig_end(mv.vpart, committed, false);
+        d.sync(&ops.mig_end, Route::to(mv.to), 1, (vp, committed, false), |o, _| {
+            self.core.part(o).mig_end(mv.vpart, committed, false);
             true
         })?;
         Ok(())

@@ -22,6 +22,7 @@ use hcl_fabric::EpId;
 use hcl_runtime::Rank;
 
 use crate::cost::CostSnapshot;
+use crate::dispatch::Route;
 use crate::keyed::{KeyedMap, KeyedSpec, LocalStore};
 use crate::persist::PersistConfig;
 use crate::HclResult;
@@ -42,7 +43,6 @@ mod ops {
         class: OpClass::Read,
         fn_off: super::FN_FIRST,
         cost: CostSig::ZERO,
-        idempotent: true,
         degradable: true,
     };
     pub const RANGE: OpDescriptor = OpDescriptor {
@@ -50,7 +50,6 @@ mod ops {
         class: OpClass::Read,
         fn_off: super::FN_RANGE,
         cost: CostSig::ZERO,
-        idempotent: true,
         degradable: true,
     };
 }
@@ -148,9 +147,9 @@ where
         let map = self.d.owner_map().current();
         let mut best: Option<(K, V)> = None;
         for &owner in map.members() {
-            let cand: Option<(K, V)> = self
-                .d
-                .sync_ref(&ops::FIRST, owner, &(), || self.core.part(owner).store().first())?;
+            let cand = self.d.sync(&ops::FIRST, Route::to(owner), 1, (), |o, ()| {
+                self.core.part(o).store().first()
+            })?;
             if let Some((k, v)) = cand {
                 if best.as_ref().is_none_or(|(bk, _)| k < *bk) {
                     best = Some((k, v));
@@ -166,8 +165,8 @@ where
         let args = (lo.clone(), hi.clone());
         let mut out = Vec::new();
         for &owner in map.members() {
-            let part: Vec<(K, V)> = self.d.sync_ref(&ops::RANGE, owner, &args, || {
-                self.core.part(owner).store().range_snapshot(lo, hi)
+            let part = self.d.sync(&ops::RANGE, Route::to(owner), 1, &args, |o, _| {
+                self.core.part(o).store().range_snapshot(lo, hi)
             })?;
             out.extend(part);
         }

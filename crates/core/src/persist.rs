@@ -184,6 +184,11 @@ impl<T: DataBox + Clone> SpLog<T> {
         self.log.compact(snapshot.iter())
     }
 
+    /// Record frames replayed when the log was opened.
+    pub(crate) fn replayed(&self) -> u64 {
+        self.log.replay_report().replayed
+    }
+
     /// The untyped WAL underneath (for flusher registration).
     pub(crate) fn wal(&self) -> &Arc<Wal> {
         self.log.wal()

@@ -41,7 +41,6 @@ const PEEK: OpDescriptor = OpDescriptor {
     class: OpClass::Read,
     fn_off: FN_PEEK,
     cost: CostSig::lrw(1, 1, 0),
-    idempotent: true,
     degradable: true,
 };
 const PURGE: OpDescriptor = OpDescriptor {
@@ -49,7 +48,6 @@ const PURGE: OpDescriptor = OpDescriptor {
     class: OpClass::Admin,
     fn_off: FN_PURGE,
     cost: CostSig::ZERO,
-    idempotent: true,
     degradable: true,
 };
 
@@ -108,13 +106,13 @@ where
 
     /// Clone of the minimum without removing it.
     pub fn peek(&self) -> HclResult<Option<T>> {
-        self.d.sync_ref(&PEEK, self.owner(), &(), || self.core.part.q.peek())
+        self.d.sync(&PEEK, self.at(), 1, (), |_, ()| self.core.part.q.peek())
     }
 
     /// Run one physical-unlink pass over logically deleted nodes (the
     /// paper's background purge, run on demand; traversals also unlink
     /// opportunistically).
     pub fn purge(&self) -> HclResult<u64> {
-        self.d.sync_ref(&PURGE, self.owner(), &(), || self.core.part.q.purge() as u64)
+        self.d.sync(&PURGE, self.at(), 1, (), |_, ()| self.core.part.q.purge() as u64)
     }
 }

@@ -25,7 +25,7 @@ use hcl_runtime::Rank;
 use parking_lot::{Mutex, MutexGuard};
 
 use crate::cost::CostSnapshot;
-use crate::dispatch::{hist_invoke, hist_return, Dispatcher, OpDescriptor};
+use crate::dispatch::{hist_invoke, hist_return, Dispatcher, OpDescriptor, Route};
 use crate::persist::{Flusher, PersistConfig, PersistMetrics, SpLog};
 use crate::{HclFuture, HclResult};
 
@@ -55,16 +55,15 @@ pub(crate) struct SingleOps {
     pub(crate) mig_extract: OpDescriptor,
 }
 
-/// Build a container's [`SingleOps`] table under `label`. Only the admin
-/// reads are safe to retransmit, and every op fails fast (`OwnerDown`) once
-/// the host is marked down: there is no replica to serve it.
+/// Build a container's [`SingleOps`] table under `label`. Every op fails
+/// fast (`OwnerDown`) once the host is marked down: there is no replica to
+/// serve it.
 macro_rules! single_ops {
     ($label:literal) => {{
         use $crate::dispatch::{CostSig, OpClass, OpClass::*, OpDescriptor};
         use $crate::queue::*;
         const fn d(name: &'static str, class: OpClass, fn_off: u32, cost: CostSig) -> OpDescriptor {
-            let idempotent = matches!(class, Admin);
-            OpDescriptor { name, class, fn_off, cost, idempotent, degradable: true }
+            OpDescriptor { name, class, fn_off, cost, degradable: true }
         }
         const ZERO: CostSig = CostSig::ZERO;
         // Table I: `F + L + W`, `F + L + R`, and their `E`-element forms.
@@ -204,7 +203,13 @@ impl<Q: LocalQueue> SinglePart<Q> {
             log
         });
         let order = log.as_ref().map(|_| Mutex::new(()));
-        SinglePart { _flusher: flusher, q, log, order }
+        let part = SinglePart { _flusher: flusher, q, log, order };
+        // Replay identities restart in every world: compact a replayed log
+        // to the live contents before any append (see `KeyedCore::build`).
+        if part.log.as_ref().is_some_and(|l| l.replayed() > 0) {
+            part.compact().expect("compact replayed single-partition log");
+        }
+        part
     }
 
     fn ordered(&self) -> Option<MutexGuard<'_, ()>> {
@@ -372,6 +377,11 @@ impl<'a, Q: LocalQueue> SingleQueue<'a, Q> {
         self.core.cfg.owner
     }
 
+    /// The route of every op: the hosting rank.
+    pub(crate) fn at(&self) -> Route {
+        Route::to(self.core.cfg.owner)
+    }
+
     /// Mark the hosting rank failed: subsequent ops through this handle
     /// degrade immediately with [`crate::HclError::OwnerDown`] instead of
     /// issuing RPCs that cannot be served.
@@ -388,7 +398,9 @@ impl<'a, Q: LocalQueue> SingleQueue<'a, Q> {
     /// priority queue, whose placement is an ordered descent).
     pub fn push(&self, value: Q::T) -> HclResult<bool> {
         let tok = hist_invoke!(self.d, Q::hist_push(crate::history_enc(&value)));
-        let result = self.d.sync(&self.ops.push, self.owner(), value, |v| self.core.part.push(v));
+        let result = self.d.sync(&self.ops.push, self.at(), 1, value, |_, v| {
+            self.core.part.push(v)
+        });
         hist_return!(self.d, tok, &result, |acked| crate::DsRet::Pushed(*acked));
         result
     }
@@ -403,7 +415,7 @@ impl<'a, Q: LocalQueue> SingleQueue<'a, Q> {
     /// minimum (Table I: `F + L + R`).
     pub fn pop(&self) -> HclResult<Option<Q::T>> {
         let tok = hist_invoke!(self.d, Q::hist_pop());
-        let result = self.d.sync_ref(&self.ops.pop, self.owner(), &(), || self.core.part.pop());
+        let result = self.d.sync(&self.ops.pop, self.at(), 1, (), |_, ()| self.core.part.pop());
         hist_return!(self.d, tok, &result, |v| crate::DsRet::Popped(
             v.as_ref().map(crate::history_enc)
         ));
@@ -414,21 +426,18 @@ impl<'a, Q: LocalQueue> SingleQueue<'a, Q> {
     /// elements.
     pub fn push_bulk(&self, values: Vec<Q::T>) -> HclResult<u64> {
         let n = values.len() as u64;
-        self.d.sync_scaled(&self.ops.push_bulk, self.owner(), n, values, |vs| {
-            self.core.part.push_bulk(vs)
-        })
+        self.d.sync(&self.ops.push_bulk, self.at(), n, values, |_, vs| self.core.part.push_bulk(vs))
     }
 
     /// Bulk pop of up to `max` elements, in pop order (Table I:
     /// `F + L + E·R`).
     pub fn pop_bulk(&self, max: u64) -> HclResult<Vec<Q::T>> {
-        self.d
-            .sync_scaled(&self.ops.pop_bulk, self.owner(), max, max, |m| self.core.part.pop_bulk(m))
+        self.d.sync(&self.ops.pop_bulk, self.at(), max, max, |_, m| self.core.part.pop_bulk(m))
     }
 
     /// Elements currently queued (approximate under concurrency).
     pub fn len(&self) -> HclResult<u64> {
-        self.d.sync_ref(&self.ops.len, self.owner(), &(), || self.core.part.q.len() as u64)
+        self.d.sync(&self.ops.len, self.at(), 1, (), |_, ()| self.core.part.q.len() as u64)
     }
 
     /// True when the queue appears empty.
@@ -438,7 +447,7 @@ impl<'a, Q: LocalQueue> SingleQueue<'a, Q> {
 
     /// Clone out the queued elements in pop order without consuming them.
     pub fn snapshot(&self) -> HclResult<Vec<Q::T>> {
-        self.d.sync_ref(&self.ops.snapshot, self.owner(), &(), || self.core.part.q.snapshot())
+        self.d.sync(&self.ops.snapshot, self.at(), 1, (), |_, ()| self.core.part.q.snapshot())
     }
 
     /// Migration seam, extract half: drain *every* queued element from the
@@ -447,7 +456,7 @@ impl<'a, Q: LocalQueue> SingleQueue<'a, Q> {
     /// the shard (the single-partition analogue of the maps' live-migration
     /// extract/install; see [`crate::rebalance`]).
     pub fn extract_all(&self) -> HclResult<Vec<Q::T>> {
-        self.d.sync_ref(&self.ops.mig_extract, self.owner(), &(), || self.core.part.extract_all())
+        self.d.sync(&self.ops.mig_extract, self.at(), 1, (), |_, ()| self.core.part.extract_all())
     }
 
     /// Compact the op log down to a push-per-element snapshot of the live

@@ -238,7 +238,6 @@ mod tests {
         class: OpClass::Write,
         fn_off: 0,
         cost: CostSig::lrw(1, 0, 1),
-        idempotent: true,
         degradable: true,
     };
 

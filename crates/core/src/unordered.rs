@@ -35,7 +35,7 @@ use hcl_runtime::Rank;
 
 use crate::cache::{CacheStats, LeaseCache, LeaseConfig};
 use crate::cost::CostSnapshot;
-use crate::dispatch::{hist_invoke, hist_return, BulkReply};
+use crate::dispatch::{hist_invoke, hist_return, BulkReply, Route};
 use crate::keyed::{KeyedCore, KeyedMap, KeyedPart, KeyedSpec, LocalStore};
 use crate::persist::PersistConfig;
 use crate::{HclFuture, HclResult};
@@ -56,7 +56,6 @@ mod ops {
         class: OpClass::ReadWrite,
         fn_off: super::FN_MERGE,
         cost: CostSig::lrw(1, 1, 1),
-        idempotent: false,
         degradable: true,
     };
     pub const GET_LEASED: OpDescriptor = OpDescriptor {
@@ -64,7 +63,6 @@ mod ops {
         class: OpClass::Read,
         fn_off: super::FN_GET_LEASED,
         cost: CostSig::lrw(1, 1, 0),
-        idempotent: true,
         degradable: true,
     };
 }
@@ -208,8 +206,8 @@ where
     /// retry loop.
     pub fn put_merge(&self, key: K, value: V) -> HclResult<V> {
         let hash = crate::stable_hash(&key);
-        self.d.sync_keyed(&ops::MERGE, hash, (key, value), |owner, (k, v)| {
-            merge_at(self.core.part(owner), self.core.merger.as_ref(), k, v)
+        self.d.sync(&ops::MERGE, Route::Key(hash), 1, (key, value), |o, (k, v)| {
+            merge_at(self.core.part(o), self.core.merger.as_ref(), k, v)
         })
     }
 
@@ -230,7 +228,7 @@ where
     /// Asynchronous lookup; remote lookups stage on the op coalescer.
     pub fn get_async(&self, key: &K) -> HclResult<HclFuture<Option<V>>> {
         let owner = self.owner_now(crate::stable_hash(key));
-        self.d.dispatch_async_ref(&self.core.ops.get, owner, key, || self.core.part(owner).get(key))
+        self.d.dispatch_async(&self.core.ops.get, owner, key, |k| self.core.part(owner).get(k))
     }
 
     /// Insert many entries with **request aggregation** (§III-B): entries
@@ -274,9 +272,8 @@ where
         let mut pending = Vec::new();
         for (owner, idxs) in by_owner {
             let refs: Vec<&K> = idxs.iter().map(|&i| &keys[i]).collect();
-            let reply = self
-                .d
-                .bulk_ref(&self.core.ops.get, owner, &refs, |k| self.core.part(owner).get(k))?;
+            let reply =
+                self.d.bulk(&self.core.ops.get, owner, refs, |k| self.core.part(owner).get(k))?;
             match reply {
                 BulkReply::Ready(results) => {
                     for (i, r) in idxs.into_iter().zip(results) {
@@ -406,10 +403,11 @@ impl<S: LocalStore> KeyedMap<'_, S> {
             // staleness from the moment the server could have read the
             // value, not from when the response arrived.
             let granted = Instant::now();
+            let route = Route::Owner { rank: owner, key_hash: hash };
             let result = self
                 .d
-                .sync_ref_keyed(&ops::GET_LEASED, owner, hash, key, || {
-                    get_leased(self.core.part(owner), lease_ttl_micros(&self.core), key)
+                .sync(&ops::GET_LEASED, route, 1, key, |o, k| {
+                    get_leased(self.core.part(o), lease_ttl_micros(&self.core), k)
                 })
                 .map(|(version, ttl_micros, value)| {
                     if ttl_micros > 0 {

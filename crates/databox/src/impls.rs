@@ -7,11 +7,12 @@ use std::hash::{BuildHasher, Hash};
 use bytes::Bytes;
 
 use crate::varint;
-use crate::{CodecError, DataBox, Reader};
+use crate::{impl_pack, CodecError, DataBox, Reader};
 
 macro_rules! fixed_int {
     ($($ty:ty => $n:expr),+ $(,)?) => {
         $(
+            impl_pack!([] $ty);
             impl DataBox for $ty {
                 const FIXED_SIZE: Option<usize> = Some($n);
                 fn pack(&self, out: &mut Vec<u8>) {
@@ -34,6 +35,7 @@ fixed_int! {
     f32 => 4, f64 => 8,
 }
 
+impl_pack!([] usize);
 impl DataBox for usize {
     const FIXED_SIZE: Option<usize> = Some(8);
     fn pack(&self, out: &mut Vec<u8>) {
@@ -44,6 +46,7 @@ impl DataBox for usize {
     }
 }
 
+impl_pack!([] isize);
 impl DataBox for isize {
     const FIXED_SIZE: Option<usize> = Some(8);
     fn pack(&self, out: &mut Vec<u8>) {
@@ -54,6 +57,7 @@ impl DataBox for isize {
     }
 }
 
+impl_pack!([] bool);
 impl DataBox for bool {
     const FIXED_SIZE: Option<usize> = Some(1);
     fn pack(&self, out: &mut Vec<u8>) {
@@ -68,6 +72,7 @@ impl DataBox for bool {
     }
 }
 
+impl_pack!([] char);
 impl DataBox for char {
     const FIXED_SIZE: Option<usize> = Some(4);
     fn pack(&self, out: &mut Vec<u8>) {
@@ -78,6 +83,7 @@ impl DataBox for char {
     }
 }
 
+impl_pack!([] ());
 impl DataBox for () {
     const FIXED_SIZE: Option<usize> = Some(0);
     fn pack(&self, _out: &mut Vec<u8>) {}
@@ -86,6 +92,7 @@ impl DataBox for () {
     }
 }
 
+impl_pack!([] String);
 impl DataBox for String {
     const FIXED_SIZE: Option<usize> = None;
     fn pack(&self, out: &mut Vec<u8>) {
@@ -99,6 +106,7 @@ impl DataBox for String {
     }
 }
 
+impl_pack!([] Bytes);
 impl DataBox for Bytes {
     const FIXED_SIZE: Option<usize> = None;
     fn pack(&self, out: &mut Vec<u8>) {
@@ -111,6 +119,7 @@ impl DataBox for Bytes {
     }
 }
 
+impl_pack!([T: DataBox] Vec<T>);
 impl<T: DataBox> DataBox for Vec<T> {
     const FIXED_SIZE: Option<usize> = None;
     fn pack(&self, out: &mut Vec<u8>) {
@@ -130,6 +139,7 @@ impl<T: DataBox> DataBox for Vec<T> {
     }
 }
 
+impl_pack!([T: DataBox] VecDeque<T>);
 impl<T: DataBox> DataBox for VecDeque<T> {
     const FIXED_SIZE: Option<usize> = None;
     fn pack(&self, out: &mut Vec<u8>) {
@@ -148,6 +158,7 @@ impl<T: DataBox> DataBox for VecDeque<T> {
     }
 }
 
+impl_pack!([T: DataBox] Option<T>);
 impl<T: DataBox> DataBox for Option<T> {
     const FIXED_SIZE: Option<usize> = None;
     fn pack(&self, out: &mut Vec<u8>) {
@@ -168,6 +179,7 @@ impl<T: DataBox> DataBox for Option<T> {
     }
 }
 
+impl_pack!([T: DataBox, E: DataBox] Result<T, E>);
 impl<T: DataBox, E: DataBox> DataBox for Result<T, E> {
     const FIXED_SIZE: Option<usize> = None;
     fn pack(&self, out: &mut Vec<u8>) {
@@ -191,6 +203,7 @@ impl<T: DataBox, E: DataBox> DataBox for Result<T, E> {
     }
 }
 
+impl_pack!([T: DataBox, const N: usize] [T; N]);
 impl<T: DataBox, const N: usize> DataBox for [T; N] {
     const FIXED_SIZE: Option<usize> = match T::FIXED_SIZE {
         Some(n) => Some(n * N),
@@ -212,6 +225,7 @@ impl<T: DataBox, const N: usize> DataBox for [T; N] {
 
 macro_rules! tuple_impl {
     ($($name:ident),+) => {
+        impl_pack!([$($name: DataBox),+] ($($name,)+));
         impl<$($name: DataBox),+> DataBox for ($($name,)+) {
             const FIXED_SIZE: Option<usize> = {
                 let mut total = 0usize;
@@ -243,6 +257,8 @@ tuple_impl!(A, B, C, D);
 tuple_impl!(A, B, C, D, E);
 tuple_impl!(A, B, C, D, E, F);
 
+impl_pack!([K, V, S] HashMap<K, V, S>
+    where K: DataBox + Eq + Hash, V: DataBox, S: BuildHasher + Default);
 impl<K, V, S> DataBox for HashMap<K, V, S>
 where
     K: DataBox + Eq + Hash,
@@ -267,6 +283,7 @@ where
     }
 }
 
+impl_pack!([K: DataBox + Ord, V: DataBox] BTreeMap<K, V>);
 impl<K: DataBox + Ord, V: DataBox> DataBox for BTreeMap<K, V> {
     const FIXED_SIZE: Option<usize> = None;
     fn pack(&self, out: &mut Vec<u8>) {
@@ -288,6 +305,7 @@ impl<K: DataBox + Ord, V: DataBox> DataBox for BTreeMap<K, V> {
     }
 }
 
+impl_pack!([T, S] HashSet<T, S> where T: DataBox + Eq + Hash, S: BuildHasher + Default);
 impl<T, S> DataBox for HashSet<T, S>
 where
     T: DataBox + Eq + Hash,
@@ -310,6 +328,7 @@ where
     }
 }
 
+impl_pack!([T: DataBox + Ord] BTreeSet<T>);
 impl<T: DataBox + Ord> DataBox for BTreeSet<T> {
     const FIXED_SIZE: Option<usize> = None;
     fn pack(&self, out: &mut Vec<u8>) {

@@ -106,9 +106,52 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// The encode half of [`DataBox`], and all a request needs of its
+/// arguments. It is implemented for every `DataBox` type and for references
+/// to one, so a container can send `&key` without cloning the key.
+pub trait Pack {
+    /// Append the encoding to `out` (the bytes [`DataBox::pack`] writes).
+    fn pack_into(&self, out: &mut Vec<u8>);
+
+    /// Expected encoded length ([`DataBox::size_hint`]).
+    fn pack_hint(&self) -> usize;
+}
+
+impl<T: Pack + ?Sized> Pack for &T {
+    #[inline]
+    fn pack_into(&self, out: &mut Vec<u8>) {
+        (**self).pack_into(out)
+    }
+
+    #[inline]
+    fn pack_hint(&self) -> usize {
+        (**self).pack_hint()
+    }
+}
+
+/// Implement [`Pack`] for a [`DataBox`] type by forwarding to its encoder:
+/// `impl_pack!([generics] Type)`, with an optional trailing `where` clause.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! impl_pack {
+    ([$($g:tt)*] $ty:ty $(where $($w:tt)+)?) => {
+        impl<$($g)*> $crate::Pack for $ty $(where $($w)+)? {
+            #[inline]
+            fn pack_into(&self, out: &mut Vec<u8>) {
+                $crate::DataBox::pack(self, out)
+            }
+            #[inline]
+            fn pack_hint(&self) -> usize {
+                $crate::DataBox::size_hint(self)
+            }
+        }
+    };
+}
+
 /// The DataBox trait: every value that crosses the fabric, lives in a
-/// distributed container, or is persisted implements this.
-pub trait DataBox: Sized {
+/// distributed container, or is persisted implements this (and [`Pack`],
+/// usually through `impl_pack!`).
+pub trait DataBox: Pack + Sized {
     /// `Some(n)` when the encoding of every value of this type is exactly
     /// `n` bytes (the byte-copyable fast path); `None` for variable-length
     /// types. Containers use this to choose fixed-slot vs allocator-backed
@@ -184,6 +227,8 @@ pub fn type_tag<T: 'static>() -> u64 {
 #[macro_export]
 macro_rules! databox_struct {
     ($name:ident { $($field:ident : $ty:ty),+ $(,)? }) => {
+        $crate::impl_pack!([] $name);
+
         impl $crate::DataBox for $name {
             const FIXED_SIZE: Option<usize> = {
                 // Sum of field sizes when every field is fixed, else None.

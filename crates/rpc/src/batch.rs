@@ -8,7 +8,7 @@
 //! [`RpcClient::invoke_batch_slices`](crate::client::RpcClient::invoke_batch_slices)
 //! frames directly into the request buffer.
 
-use hcl_databox::DataBox;
+use hcl_databox::Pack;
 
 use crate::FnId;
 
@@ -38,9 +38,9 @@ impl BatchArena {
     }
 
     /// Append one call's arguments.
-    pub fn push<A: DataBox>(&mut self, args: &A) {
-        self.arena.reserve(args.size_hint());
-        args.pack(&mut self.arena);
+    pub fn push<A: Pack + ?Sized>(&mut self, args: &A) {
+        self.arena.reserve(args.pack_hint());
+        args.pack_into(&mut self.arena);
         self.ends.push(self.arena.len());
     }
 
@@ -79,6 +79,7 @@ impl BatchArena {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hcl_databox::DataBox;
 
     #[test]
     fn slices_roundtrip_in_push_order() {

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::{Bytes, BytesMut};
-use hcl_databox::DataBox;
+use hcl_databox::{DataBox, Pack};
 use hcl_fabric::{EpId, Fabric};
 use hcl_telemetry::{EventKind, FlightEvent, Outcome, RpcMetrics};
 use parking_lot::Mutex;
@@ -263,77 +263,6 @@ impl RawFuture {
         // timeout, its result is returned instead of the error.
         self.store(r)
     }
-
-    /// The per-attempt response budget while pending (`None` once ready).
-    fn attempt_budget(&self) -> Option<Duration> {
-        self.pending().ok().map(|p| p.attempt_budget())
-    }
-}
-
-/// Sweep a set of futures to completion with one non-blocking fabric poll
-/// per still-pending slot per iteration (batched completion polling), under
-/// the shared spin → yield → sleep escalation. If the smallest per-attempt
-/// budget elapses before every slot completes, the stragglers fall back to
-/// their individual blocking waits so retransmission semantics still apply.
-pub fn wait_all(futs: &[RawFuture]) -> Vec<RpcResult<Bytes>> {
-    let n = futs.len();
-    let mut results: Vec<Option<RpcResult<Bytes>>> = (0..n).map(|_| None).collect();
-    let mut remaining = n;
-    let deadline = futs
-        .iter()
-        .filter_map(|f| f.attempt_budget())
-        .min()
-        .map(|b| Instant::now() + b);
-    let mut spins = 0u32;
-    while remaining > 0 {
-        for (i, f) in futs.iter().enumerate() {
-            if results[i].is_none() {
-                if let Some(r) = f.try_get() {
-                    results[i] = Some(r);
-                    remaining -= 1;
-                }
-            }
-        }
-        if remaining == 0 {
-            break;
-        }
-        if deadline.is_some_and(|d| Instant::now() > d) {
-            for (i, f) in futs.iter().enumerate() {
-                if results[i].is_none() {
-                    results[i] = Some(f.wait());
-                }
-            }
-            break;
-        }
-        poll_backoff(&mut spins);
-    }
-    results.into_iter().map(|r| r.expect("swept to completion")).collect()
-}
-
-/// Block until any one future completes; returns its index and result.
-/// `None` when `futs` is empty. Like [`wait_all`], each poll iteration is
-/// one sweep over the pending slots.
-pub fn wait_any(futs: &[RawFuture]) -> Option<(usize, RpcResult<Bytes>)> {
-    if futs.is_empty() {
-        return None;
-    }
-    let deadline = futs
-        .iter()
-        .filter_map(|f| f.attempt_budget())
-        .min()
-        .map(|b| Instant::now() + b);
-    let mut spins = 0u32;
-    loop {
-        for (i, f) in futs.iter().enumerate() {
-            if let Some(r) = f.try_get() {
-                return Some((i, r));
-            }
-        }
-        if deadline.is_some_and(|d| Instant::now() > d) {
-            return Some((0, futs[0].wait()));
-        }
-        poll_backoff(&mut spins);
-    }
 }
 
 /// A typed asynchronous RPC result (paper §III-C4: "Each function invocation
@@ -545,99 +474,92 @@ impl RpcClient {
     /// straight into the request buffer — no intermediate encoding.
     pub fn invoke_async<A, R>(&self, server: EpId, fn_id: FnId, args: &A) -> RpcResult<RpcFuture<R>>
     where
-        A: DataBox,
+        A: Pack + ?Sized,
         R: DataBox,
     {
-        let hint = A::FIXED_SIZE.unwrap_or(16);
-        let raw = self.issue_with(server, &[fn_id], 0, hint, |out| args.pack(out))?;
+        let hint = args.pack_hint();
+        let raw = self.issue_with(server, &[fn_id], 0, hint, |out| args.pack_into(out))?;
         Ok(RpcFuture { raw, _t: PhantomData })
     }
 
     /// Synchronous invocation: issue and wait.
     pub fn invoke<A, R>(&self, server: EpId, fn_id: FnId, args: &A) -> RpcResult<R>
     where
-        A: DataBox,
+        A: Pack + ?Sized,
         R: DataBox,
     {
-        self.invoke_async::<A, R>(server, fn_id, args)?.wait()
+        self.invoke_tagged(server, fn_id, None, false, args).map(|(_, v)| v)
     }
 
-    /// Synchronous invocation requesting a [`FLAG_STAMPED`] response:
-    /// returns `(stamp, value)`, where the stamp is the serving partition's
-    /// version after the handler ran (0 when no stamper covers `fn_id`).
-    /// Lease caches feed the stamp into their observed-version watermark —
-    /// every sync RPC to a partition then doubles as an invalidation probe.
-    pub fn invoke_stamped<A, R>(&self, server: EpId, fn_id: FnId, args: &A) -> RpcResult<(u64, R)>
-    where
-        A: DataBox,
-        R: DataBox,
-    {
-        let hint = A::FIXED_SIZE.unwrap_or(16);
-        let raw =
-            self.issue_with(server, &[fn_id], FLAG_STAMPED, hint, |out| args.pack(out))?;
-        let b = raw.wait()?;
-        let bytes = b.as_slice();
-        if bytes.len() < 8 {
-            return Err(RpcError::Decode("stamped response shorter than its stamp".into()));
-        }
-        let stamp = u64::from_le_bytes(bytes[..8].try_into().expect("8-byte stamp"));
-        let v = R::from_bytes(&bytes[8..]).map_err(|e| RpcError::Decode(e.to_string()))?;
-        Ok((stamp, v))
-    }
-
-    /// Synchronous invocation tagged with the caller's ownership epoch
-    /// ([`FLAG_EPOCH`]): the args travel behind an 8-byte LE epoch prefix,
-    /// and the server's gate executes the handler only when its current
-    /// epoch matches — a mismatch surfaces as [`RpcError::WrongEpoch`], a
-    /// *delivered* rejection the retry machinery never retransmits (callers
-    /// re-resolve the owner and issue a fresh request). `stamped` requests a
-    /// [`FLAG_STAMPED`] version stamp as well; the returned stamp is 0
-    /// otherwise (and meaningless on rejection).
-    pub fn invoke_epoch<A, R>(
+    /// Synchronous invocation with optional tags; returns `(stamp, value)`.
+    ///
+    /// * `epoch` tags the request with the caller's ownership epoch
+    ///   ([`FLAG_EPOCH`]): the args travel behind an 8-byte LE epoch prefix,
+    ///   and the server's gate runs the handler only when its current epoch
+    ///   matches. A mismatch surfaces as [`RpcError::WrongEpoch`], a
+    ///   *delivered* rejection the retry machinery never retransmits
+    ///   (callers re-resolve the owner and issue a fresh request).
+    /// * `stamped` requests a [`FLAG_STAMPED`] response: the stamp is the
+    ///   serving partition's version after the handler ran (0 when no
+    ///   stamper covers `fn_id`). Lease caches feed it into their
+    ///   observed-version watermark, so every sync RPC to a partition
+    ///   doubles as an invalidation probe. Unstamped, the stamp is 0.
+    pub fn invoke_tagged<A, R>(
         &self,
         server: EpId,
         fn_id: FnId,
-        epoch: u64,
+        epoch: Option<u64>,
         stamped: bool,
         args: &A,
     ) -> RpcResult<(u64, R)>
     where
-        A: DataBox,
+        A: Pack + ?Sized,
         R: DataBox,
     {
-        let hint = 8 + A::FIXED_SIZE.unwrap_or(16);
-        let flags = FLAG_EPOCH | if stamped { FLAG_STAMPED } else { 0 };
+        let mut flags = if stamped { FLAG_STAMPED } else { 0 };
+        let mut hint = args.pack_hint();
+        if epoch.is_some() {
+            flags |= FLAG_EPOCH;
+            hint += 8;
+        }
         let raw = self.issue_with(server, &[fn_id], flags, hint, |out| {
-            out.extend_from_slice(&epoch.to_le_bytes());
-            args.pack(out);
+            if let Some(e) = epoch {
+                out.extend_from_slice(&e.to_le_bytes());
+            }
+            args.pack_into(out);
         })?;
         let b = raw.wait()?;
         let mut bytes = b.as_slice();
         let mut stamp = 0u64;
         if stamped {
-            if bytes.len() < 8 {
+            let Some((s, rest)) = bytes.split_first_chunk::<8>() else {
                 return Err(RpcError::Decode("stamped response shorter than its stamp".into()));
-            }
-            stamp = u64::from_le_bytes(bytes[..8].try_into().expect("8-byte stamp"));
-            bytes = &bytes[8..];
+            };
+            stamp = u64::from_le_bytes(*s);
+            bytes = rest;
         }
-        let Some((&status, rest)) = bytes.split_first() else {
-            return Err(RpcError::Decode("epoch-tagged response missing status byte".into()));
-        };
-        match status {
-            0 => {
-                let v = R::from_bytes(rest).map_err(|e| RpcError::Decode(e.to_string()))?;
-                Ok((stamp, v))
-            }
-            1 => {
-                if rest.len() < 8 {
-                    return Err(RpcError::Decode("epoch rejection missing current epoch".into()));
+        if let Some(sent) = epoch {
+            // Epoch-tagged responses carry a status byte: 0 = executed,
+            // 1 = rejected, followed by the server's current epoch.
+            match bytes.split_first() {
+                Some((0, rest)) => bytes = rest,
+                Some((1, rest)) => {
+                    let Some((cur, _)) = rest.split_first_chunk::<8>() else {
+                        let msg = "epoch rejection missing current epoch";
+                        return Err(RpcError::Decode(msg.into()));
+                    };
+                    return Err(RpcError::WrongEpoch { sent, current: u64::from_le_bytes(*cur) });
                 }
-                let current = u64::from_le_bytes(rest[..8].try_into().expect("8-byte epoch"));
-                Err(RpcError::WrongEpoch { sent: epoch, current })
+                Some((other, _)) => {
+                    return Err(RpcError::Decode(format!("unknown epoch status byte {other}")))
+                }
+                None => {
+                    return Err(RpcError::Decode("epoch-tagged response missing status byte".into()))
+                }
             }
-            other => Err(RpcError::Decode(format!("unknown epoch status byte {other}"))),
         }
+        let v = R::from_bytes(bytes).map_err(|e| RpcError::Decode(e.to_string()))?;
+        Ok((stamp, v))
     }
 
     /// Invoke a *callback chain* (§III-C3): `chain[0]` receives `args`, each
@@ -651,11 +573,10 @@ impl RpcClient {
         args: &A,
     ) -> RpcResult<RpcFuture<R>>
     where
-        A: DataBox,
+        A: Pack + ?Sized,
         R: DataBox,
     {
-        let hint = A::FIXED_SIZE.unwrap_or(16);
-        let raw = self.issue_with(server, &chain, 0, hint, |out| args.pack(out))?;
+        let raw = self.issue_with(server, &chain, 0, args.pack_hint(), |out| args.pack_into(out))?;
         Ok(RpcFuture { raw, _t: PhantomData })
     }
 

@@ -35,7 +35,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use hcl_databox::DataBox;
+use hcl_databox::{DataBox, Pack};
 use hcl_fabric::EpId;
 use hcl_telemetry::{CoalesceMetrics, EventKind, FlightEvent, Outcome};
 use parking_lot::Mutex;
@@ -55,9 +55,6 @@ pub struct CoalesceConfig {
     pub max_bytes: usize,
     /// Maximum time a staged op may wait before the age flusher sends it.
     pub max_delay: Duration,
-    /// AIMD adaptation of the per-destination size target; disabled, the
-    /// target is pinned at `max_ops`.
-    pub adaptive: bool,
 }
 
 impl Default for CoalesceConfig {
@@ -67,7 +64,6 @@ impl Default for CoalesceConfig {
             max_ops: 64,
             max_bytes: 48 * 1024,
             max_delay: Duration::from_micros(200),
-            adaptive: true,
         }
     }
 }
@@ -317,8 +313,7 @@ impl Coalescer {
         g.handles.push(Arc::clone(&shared));
         // ORDERING: Relaxed statistic.
         self.stats.coalesced_ops.fetch_add(1, Ordering::Relaxed);
-        let target = if self.cfg.adaptive { g.target_ops } else { self.cfg.max_ops };
-        if g.fn_ids.len() >= target.clamp(1, self.cfg.max_ops)
+        if g.fn_ids.len() >= g.target_ops.clamp(1, self.cfg.max_ops)
             || g.args.len() >= self.cfg.max_bytes
         {
             self.flush_queue(&mut g, FlushCause::Size);
@@ -334,10 +329,10 @@ impl Coalescer {
         args: &A,
     ) -> RpcResult<CoalescedFuture<R>>
     where
-        A: DataBox,
+        A: Pack + ?Sized,
         R: DataBox,
     {
-        Ok(self.submit(dest, fn_id, |out| args.pack(out))?.typed())
+        Ok(self.submit(dest, fn_id, |out| args.pack_into(out))?.typed())
     }
 
     /// Send anything staged for `dest` now. Call before a synchronous op to
@@ -384,14 +379,12 @@ impl Coalescer {
     /// so concurrent submitters to this destination order strictly after
     /// the flushed batch.
     fn flush_queue(&self, g: &mut DestQueue, cause: FlushCause) {
-        if self.cfg.adaptive {
-            match cause {
-                // Batch filled on its own: contention is high, aim bigger.
-                FlushCause::Size => g.target_ops = (g.target_ops * 2).min(self.cfg.max_ops),
-                // A waiter paid latency for depth: aim smaller.
-                FlushCause::Demand => g.target_ops = (g.target_ops / 2).max(1),
-                FlushCause::Age => {}
-            }
+        match cause {
+            // Batch filled on its own: contention is high, aim bigger.
+            FlushCause::Size => g.target_ops = (g.target_ops * 2).min(self.cfg.max_ops),
+            // A waiter paid latency for depth: aim smaller.
+            FlushCause::Demand => g.target_ops = (g.target_ops / 2).max(1),
+            FlushCause::Age => {}
         }
         let result = {
             let n = g.fn_ids.len();
@@ -593,7 +586,6 @@ mod tests {
     fn size_trigger_batches_ops() {
         let cfg = CoalesceConfig {
             max_ops: 4,
-            adaptive: false,
             max_delay: Duration::from_secs(10),
             ..Default::default()
         };

@@ -649,28 +649,38 @@ mod tests {
         );
         let client = RpcClient::new(hcl_fabric::EpId::new(0, 1), Arc::clone(&fabric), 256);
         // Matching epoch: executes.
-        let (stamp, r): (u64, u64) = client.invoke_epoch(server_ep, 50, 3, false, &1u64).unwrap();
+        let (stamp, r): (u64, u64) =
+            client.invoke_tagged(server_ep, 50, Some(3), false, &1u64).unwrap();
         assert_eq!((stamp, r), (0, 2));
         assert_eq!(server.stats().wrong_epoch, 0);
         // Stale epoch: typed rejection carrying the current epoch, handler
         // skipped.
-        let err = client.invoke_epoch::<u64, u64>(server_ep, 50, 2, false, &1u64).unwrap_err();
+        let err = client
+            .invoke_tagged::<u64, u64>(server_ep, 50, Some(2), false, &1u64)
+            .unwrap_err();
         assert_eq!(err, RpcError::WrongEpoch { sent: 2, current: 3 });
         assert_eq!(server.stats().wrong_epoch, 1);
         // Epoch moved: yesterday's epoch now rejects, today's admits.
         epoch.store(4, Ordering::Relaxed);
-        let err = client.invoke_epoch::<u64, u64>(server_ep, 50, 3, false, &1u64).unwrap_err();
+        let err = client
+            .invoke_tagged::<u64, u64>(server_ep, 50, Some(3), false, &1u64)
+            .unwrap_err();
         assert_eq!(err, RpcError::WrongEpoch { sent: 3, current: 4 });
-        let (_, r): (u64, u64) = client.invoke_epoch(server_ep, 50, 4, false, &1u64).unwrap();
+        let (_, r): (u64, u64) =
+            client.invoke_tagged(server_ep, 50, Some(4), false, &1u64).unwrap();
         assert_eq!(r, 2);
         // FLAG_STAMPED composes: stamp is the outer prefix on both outcomes.
         registry.set_stamper(50, 2, |_| 77);
-        let (stamp, r): (u64, u64) = client.invoke_epoch(server_ep, 50, 4, true, &5u64).unwrap();
+        let (stamp, r): (u64, u64) =
+            client.invoke_tagged(server_ep, 50, Some(4), true, &5u64).unwrap();
         assert_eq!((stamp, r), (77, 6));
-        let err = client.invoke_epoch::<u64, u64>(server_ep, 50, 9, true, &5u64).unwrap_err();
+        let err = client
+            .invoke_tagged::<u64, u64>(server_ep, 50, Some(9), true, &5u64)
+            .unwrap_err();
         assert_eq!(err, RpcError::WrongEpoch { sent: 9, current: 4 });
         // No gate over fn 60: the tag is stripped and the handler runs.
-        let (_, r): (u64, u64) = client.invoke_epoch(server_ep, 60, 999, false, &7u64).unwrap();
+        let (_, r): (u64, u64) =
+            client.invoke_tagged(server_ep, 60, Some(999), false, &7u64).unwrap();
         assert_eq!(r, 70);
         // Plain invocations through the same server stay un-prefixed.
         let plain: u64 = client.invoke(server_ep, 50, &10u64).unwrap();
@@ -697,13 +707,16 @@ mod tests {
             ServerConfig { max_clients: 4, slot_cap: 256, nic_cores: 1, dedup_window: 64 },
         );
         let client = RpcClient::new(hcl_fabric::EpId::new(0, 1), Arc::clone(&fabric), 256);
-        let (stamp, r): (u64, u64) = client.invoke_stamped(server_ep, 40, &1u64).unwrap();
+        let (stamp, r): (u64, u64) =
+            client.invoke_tagged(server_ep, 40, None, true, &1u64).unwrap();
         assert_eq!((stamp, r), (7, 2));
         version.store(9, Ordering::Relaxed);
-        let (stamp, r): (u64, u64) = client.invoke_stamped(server_ep, 41, &3u64).unwrap();
+        let (stamp, r): (u64, u64) =
+            client.invoke_tagged(server_ep, 41, None, true, &3u64).unwrap();
         assert_eq!((stamp, r), (9, 6), "stamp tracks the live version");
         // No stamper over fn 99: the stamp prefix is still present, zeroed.
-        let (stamp, r): (u64, u64) = client.invoke_stamped(server_ep, 99, &5u64).unwrap();
+        let (stamp, r): (u64, u64) =
+            client.invoke_tagged(server_ep, 99, None, true, &5u64).unwrap();
         assert_eq!((stamp, r), (0, 5));
         // Unstamped invocations through the same server stay un-prefixed.
         let plain: u64 = client.invoke(server_ep, 40, &10u64).unwrap();

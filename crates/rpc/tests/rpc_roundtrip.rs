@@ -279,47 +279,6 @@ fn batch_aggregate_response_spills_past_slot_cap() {
 }
 
 #[test]
-fn wait_all_sweeps_mixed_latency_futures() {
-    // Batched completion polling: one fabric-read sweep per iteration over
-    // all pending slots resolves futures in any completion order.
-    let fabric: Arc<dyn Fabric> = Arc::new(MemoryFabric::new());
-    let server_ep = EpId::new(0, 0);
-    let reg = Arc::new(RpcRegistry::new());
-    reg.bind_typed(1, |_, _, (v, delay_ms): (u64, u64)| {
-        std::thread::sleep(Duration::from_millis(delay_ms));
-        v * 3
-    });
-    let _server = RpcServer::start(
-        server_ep,
-        Arc::clone(&fabric),
-        reg,
-        ServerConfig { max_clients: 4, slot_cap: 512, nic_cores: 4, ..ServerConfig::default() },
-    );
-    let client = RpcClient::new(EpId::new(1, 1), Arc::clone(&fabric), 512);
-    use hcl_databox::DataBox;
-    // Later-issued futures complete first (reverse delays).
-    let raws: Vec<_> = (0..4u64)
-        .map(|i| {
-            client
-                .invoke_raw(server_ep, 1, &(i, (3 - i) * 20).to_bytes())
-                .unwrap()
-        })
-        .collect();
-    let results = hcl_rpc::client::wait_all(&raws);
-    for (i, r) in results.iter().enumerate() {
-        let got = u64::from_bytes(r.as_ref().unwrap()).unwrap();
-        assert_eq!(got, i as u64 * 3);
-    }
-    // wait_any on fresh futures returns some completed index.
-    let raws: Vec<_> = (0..3u64)
-        .map(|i| client.invoke_raw(server_ep, 1, &(i, 5u64).to_bytes()).unwrap())
-        .collect();
-    let (idx, r) = hcl_rpc::client::wait_any(&raws).unwrap();
-    let got = u64::from_bytes(&r.unwrap()).unwrap();
-    assert_eq!(got, idx as u64 * 3);
-}
-
-#[test]
 fn single_rank_world_degenerate_but_functional() {
     // nodes=1, ranks=1: everything is local, RPC still works when forced.
     let fabric: Arc<dyn Fabric> = Arc::new(MemoryFabric::new());

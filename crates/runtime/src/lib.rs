@@ -29,11 +29,11 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use hcl_databox::DataBox;
+use hcl_databox::{DataBox, Pack};
 use hcl_fabric::memory::MemoryFabric;
 use hcl_fabric::tcp::TcpFabric;
 use hcl_fabric::{EpId, Fabric, LatencyModel, TrafficSnapshot};
-use hcl_rpc::client::RpcClient;
+use hcl_rpc::client::{BatchFuture, RpcClient};
 use hcl_rpc::coalesce::{CoalesceConfig, CoalesceSnapshot, CoalescedFuture, Coalescer};
 use hcl_rpc::server::{RpcServer, ServerConfig, ServerStatsSnapshot};
 use hcl_rpc::{FnId, RetryPolicy, RpcRegistry, RpcResult};
@@ -520,55 +520,52 @@ impl Rank {
         self.coalescer.config().enabled
     }
 
-    /// Synchronous remote invocation with flush-before-sync semantics: any
-    /// ops staged for `server` are sent (in submission order) before the
-    /// sync request, so a sync op observes every async op this rank issued
-    /// earlier to the same destination.
+    /// The client, once every op staged for `server` has been sent (in
+    /// submission order): a sync or bulk request issued through it then
+    /// observes every async op this rank issued earlier to the same
+    /// destination (flush-before-send).
+    fn flushed(&self, server: EpId) -> &RpcClient {
+        self.coalescer.flush(server);
+        &self.client
+    }
+
+    /// Synchronous remote invocation, flushed first.
     pub fn invoke<A, R>(&self, server: EpId, fn_id: FnId, args: &A) -> RpcResult<R>
     where
         A: DataBox,
         R: DataBox,
     {
-        self.coalescer.flush(server);
-        self.client.invoke(server, fn_id, args)
+        self.flushed(server).invoke(server, fn_id, args)
     }
 
-    /// Synchronous remote invocation requesting a version-stamped response
-    /// ([`hcl_rpc::FLAG_STAMPED`]); same flush-before-sync semantics as
-    /// [`Rank::invoke`]. Returns `(partition_version, value)`.
-    pub fn invoke_stamped<A, R>(
-        &self,
-        server: EpId,
-        fn_id: FnId,
-        args: &A,
-    ) -> RpcResult<(u64, R)>
-    where
-        A: DataBox,
-        R: DataBox,
-    {
-        self.coalescer.flush(server);
-        self.client.invoke_stamped(server, fn_id, args)
-    }
-
-    /// Synchronous remote invocation tagged with the caller's resolved
-    /// ownership epoch ([`hcl_rpc::FLAG_EPOCH`]); same flush-before-sync
-    /// semantics as [`Rank::invoke`]. Returns `(stamp, value)` (`stamp` is 0
-    /// unless `stamped`); a stale epoch surfaces as
+    /// Synchronous remote invocation with optional ownership-epoch and
+    /// version-stamp tags ([`RpcClient::invoke_tagged`]), flushed first.
+    /// Returns `(stamp, value)`; a stale epoch surfaces as
     /// [`hcl_rpc::RpcError::WrongEpoch`].
-    pub fn invoke_epoch<A, R>(
+    pub fn invoke_tagged<A, R>(
         &self,
         server: EpId,
         fn_id: FnId,
-        epoch: u64,
+        epoch: Option<u64>,
         stamped: bool,
         args: &A,
     ) -> RpcResult<(u64, R)>
     where
-        A: DataBox,
+        A: Pack + ?Sized,
         R: DataBox,
     {
-        self.coalescer.flush(server);
-        self.client.invoke_epoch(server, fn_id, epoch, stamped, args)
+        self.flushed(server).invoke_tagged(server, fn_id, epoch, stamped, args)
+    }
+
+    /// Send one explicit aggregated [`hcl_rpc::FLAG_BATCH`] message of
+    /// pre-packed calls, flushed first so the batch keeps per-destination
+    /// program order.
+    pub fn invoke_batch<'c>(
+        &self,
+        server: EpId,
+        calls: impl ExactSizeIterator<Item = (FnId, &'c [u8])> + Clone,
+    ) -> RpcResult<BatchFuture> {
+        self.flushed(server).invoke_batch_slices(server, calls)
     }
 
     /// Stage an asynchronous remote invocation on the coalescer: it rides a
@@ -581,7 +578,7 @@ impl Rank {
         args: &A,
     ) -> RpcResult<CoalescedFuture<R>>
     where
-        A: DataBox,
+        A: Pack + ?Sized,
         R: DataBox,
     {
         self.coalescer.submit_typed(server, fn_id, args)

@@ -331,12 +331,13 @@ fn flush_before_sync_order_survives_lossy_fabric() {
         WorldConfig { nodes: 2, ranks_per_node: 1, ..WorldConfig::small() },
         seed,
     );
-    // Pin the coalescer so neither the size trigger nor the age flusher can
-    // send the staged ops: only the sync op's flush-before-sync may.
+    // Pin the age flusher so it cannot send the staged ops. The size
+    // trigger may send early batches (its target starts at 4 and grows);
+    // whatever is still staged leaves only by the sync op's
+    // flush-before-sync.
     let cfg = WorldConfig {
         coalesce: CoalesceConfig {
             max_ops: 64,
-            adaptive: false,
             max_delay: Duration::from_secs(30),
             ..CoalesceConfig::default()
         },

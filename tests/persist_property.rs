@@ -402,3 +402,86 @@ fn queue_concurrent_pushers_replay_matches_live() {
         }
     }
 }
+
+/// Writes per world in the successive-worlds cases.
+const PER_WORLD: u64 = 64;
+
+/// Two successive worlds each put `PER_WORLD` fresh keys into one Manual
+/// log, both ranks writing (rank 0's own keys take the bypass, the rest a
+/// NIC worker); a third world must recover all of them. Replay identities
+/// `(rank, seq)` restart in every world, so unless a replayed log is
+/// compacted before the next world appends, the second world's records
+/// dedup against the first's and their keys are lost.
+fn successive_worlds_recover_every_key<S>(
+    tag: &str,
+    open: for<'a> fn(&'a Rank, PersistConfig) -> KeyedMap<'a, S>,
+) where
+    S: LocalStore<K = u64, V = u64>,
+{
+    let dir = world_dir(tag, 0);
+    let pcfg = PersistConfig { policy: SyncPolicy::Manual, ..PersistConfig::strict(&dir) };
+    for w in 0..2u64 {
+        let pcfg = pcfg.clone();
+        World::run(ww(), move |rank| {
+            let map = open(rank, pcfg.clone());
+            rank.barrier();
+            for k in (w * PER_WORLD..(w + 1) * PER_WORLD).filter(|k| k % 2 == rank.id() as u64) {
+                map.put(k, k + 1).unwrap();
+            }
+            rank.barrier();
+        });
+    }
+    let recovered = World::run(ww(), move |rank| {
+        let map = open(rank, pcfg.clone());
+        rank.barrier();
+        let values: Vec<Option<u64>> = (0..2 * PER_WORLD).map(|k| map.get(&k).unwrap()).collect();
+        (map.len().unwrap(), values)
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+    let want: Vec<Option<u64>> = (0..2 * PER_WORLD).map(|k| Some(k + 1)).collect();
+    assert_eq!(recovered[0], (2 * PER_WORLD, want), "{tag}: keys lost across worlds");
+}
+
+#[test]
+fn unordered_map_successive_worlds_recover_every_key() {
+    successive_worlds_recover_every_key("umap-worlds", open_umap);
+}
+
+#[test]
+fn ordered_map_successive_worlds_recover_every_key() {
+    successive_worlds_recover_every_key("omap-worlds", open_omap);
+}
+
+/// The queue form of the successive-worlds case: both ranks push into one
+/// Manual log in two worlds; the third world replays the FIFO the second
+/// world ended with, every push included.
+#[test]
+fn queue_successive_worlds_recover_every_push() {
+    let dir = world_dir("queue-worlds", 0);
+    let cfg = QueueConfig {
+        persist: Some(PersistConfig { policy: SyncPolicy::Manual, ..PersistConfig::strict(&dir) }),
+        ..Default::default()
+    };
+    let mut live = Vec::new();
+    for w in 0..2u64 {
+        let cfg = cfg.clone();
+        live = World::run(ww(), move |rank| {
+            let q: Queue<u64> = Queue::with_config(rank, "worlds.q", cfg.clone());
+            rank.barrier();
+            for i in (w * PER_WORLD..(w + 1) * PER_WORLD).filter(|i| i % 2 == rank.id() as u64) {
+                q.push(i).unwrap();
+            }
+            rank.barrier();
+            q.snapshot().unwrap()
+        })
+        .swap_remove(0);
+    }
+    let recovered = World::run(ww(), move |rank| {
+        let q: Queue<u64> = Queue::with_config(rank, "worlds.q", cfg.clone());
+        rank.barrier();
+        q.snapshot().unwrap()
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(live.len() as u64, 2 * PER_WORLD);
+    assert_eq!(recovered[0], live, "queue: pushes lost across worlds");
+}

@@ -106,9 +106,13 @@ const DISPATCH_PATH: &str = "crates/core/src/";
 
 /// Tokens that indicate a direct RPC issue path. Deliberately precise
 /// (`rank.invoke(`, not `.invoke(`): history recorders expose an `invoke`
-/// method too, and those calls are fine anywhere.
+/// method too, and those calls are fine anywhere. The sync entry points are
+/// `Rank::invoke` (through a `rank` binding or a `.rank()` accessor) and the
+/// tagged `invoke_tagged` of `Rank` and `RpcClient`.
 const DISPATCH_TOKENS: &[&str] = &[
     "rank.invoke(",
+    ".rank().invoke(",
+    ".invoke_tagged(",
     ".invoke_async(",
     ".invoke_coalesced(",
     ".invoke_batch",
@@ -1237,6 +1241,12 @@ mod tests {
         // One finding per offending line, even when several tokens match.
         let batch = "fn f(&self) {\n    let _ = self.rank.client().invoke_batch_slices(ep, it);\n}\n";
         assert_eq!(rules("crates/core/src/ordered.rs", batch), vec![Rule::Dispatch]);
+        // The dispatcher's rank accessor is no way around the engine, and
+        // neither is the tagged sync entry point.
+        let accessor = "fn f(&self) {\n    let _: u64 = self.d.rank().invoke(ep, id, &v)?;\n}\n";
+        assert_eq!(rules("crates/core/src/keyed.rs", accessor), vec![Rule::Dispatch]);
+        let tagged = "fn f(&self) {\n    let _ = rank.invoke_tagged(ep, id, None, true, &v);\n}\n";
+        assert_eq!(rules("crates/core/src/queue.rs", tagged), vec![Rule::Dispatch]);
     }
 
     #[test]
