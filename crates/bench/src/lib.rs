@@ -1,12 +1,14 @@
-//! Shared output helpers for the figure-regeneration binaries, plus the
-//! scenario-suite layer: a YCSB-style mixed-op workload driver
+//! Shared output helpers for the figure-regeneration binaries, the
+//! scenario-suite layer — a YCSB-style mixed-op workload driver
 //! ([`workload`]) and the container × mix × distribution matrix runner
-//! ([`scenario`]) behind the committed `FIG_scenarios.json` artifact.
+//! ([`scenario`]) behind the committed `FIG_scenarios.json` artifact — and
+//! the `hcl-bench` gate runner's shared plumbing ([`harness`]).
 //!
 //! Every binary prints the simulated/measured series next to the paper's
 //! reference values, plus a shape verdict, so a reader can diff the
 //! reproduction at a glance (EXPERIMENTS.md records the same numbers).
 
+pub mod harness;
 pub mod scenario;
 pub mod workload;
 

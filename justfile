@@ -114,28 +114,26 @@ check-lin-soak:
 check-lin-lease-soak:
     cargo test --release --features history --test linearizability -- --ignored lease_soak_many_seeds
 
-# ~10 s subset of the PR 3 RPC hot-path bench (8-rank memory-fabric
-# put/get, baseline vs batched), then validate the committed
-# BENCH_pr3.json: schema keys, non-zero throughputs, >= 2x headline
-# speedup. The full regeneration is `cargo run --release -p hcl-bench
-# --bin pr3`.
-bench-smoke:
-    cargo run --release -p hcl-bench --bin pr3 -- --smoke
-
-# Read-path cache gate: a reduced 8-rank zipfian get sweep (uncached vs
-# lease-cached vs replica-steered), gating a fresh >= 1.5x cached speedup
-# with live cache hits and steered reads, then validating the committed
-# BENCH_pr8.json (>= 2x cached speedup, lower cached p99). The full
-# regeneration is `cargo run --release -p hcl-bench --bin pr8`.
-bench-cache-smoke:
-    cargo run --release -p hcl-bench --bin pr8 -- --smoke
-
-# Telemetry export gate: 4-rank memory workload with HCL_TELEMETRY_DIR set,
-# validating the per-rank JSON snapshot schema, the Prometheus exposition,
-# and the committed BENCH_pr5.json overhead artifact. The full overhead
-# bench is `cargo run --release -p hcl-bench --bin pr5`.
-telemetry-smoke:
-    cargo run --release -p hcl-bench --bin telemetry_smoke
+# Bench gates: every hcl-bench suite runs its reduced fresh subset, gates
+# it, then gates the committed BENCH_<suite>.json. Every gate reads medians
+# and every cell's rate must be > 0.
+#   rpc        8-rank memory 8 B put, batched over baseline >= 2x (fresh
+#              and committed)
+#   telemetry  4-rank export surface: per-rank snapshot schema, hcl_
+#              prefix, Prometheus needles; committed: batched on/off
+#              throughput ratio in [0.95, 1.05], p50/p99 > 0 when on
+#   cache      cached over uncached gets >= 1.5x fresh, >= 2x committed;
+#              committed cached p99 < uncached p99; cache hits and
+#              steered reads > 0
+#   rebalance  migrated keys > 0, lost keys == 0, only typed get errors,
+#              rebalance/steady throughput >= 0.1, commits >= 2 x cycles
+#              fresh (>= 2 committed)
+#   persist    none cell appends 0, durable cells append == puts, strict
+#              fsyncs >= puts, flush gap >= 10x, relaxed/strict >= 0.5
+# Full regeneration: `cargo run --release -p hcl-bench --bin hcl-bench -- all`
+# (or name suites); `-- all --validate` gates the committed files only.
+bench-gates:
+    cargo run --release -p hcl-bench --bin hcl-bench -- all --smoke
 
 # Scenario-matrix gate: re-run the smoke subset of the YCSB-style scenario
 # suite (2 containers x 2 mixes, each with a ChaosFabric-faulted twin) and
@@ -144,13 +142,6 @@ telemetry-smoke:
 # regeneration is `cargo run --release -p hcl-bench --bin scenarios`.
 scenario-smoke:
     cargo run --release -p hcl-bench --bin scenarios -- --smoke
-
-# Live-rebalance bench gate: a reduced 8-rank zipfian get sweep measuring
-# steady-state vs mid-migration throughput/p99, gating typed-only errors and
-# zero lost keys, then validating the committed BENCH_pr9.json. The full
-# regeneration is `cargo run --release -p hcl-bench --bin pr9`.
-bench-rebalance-smoke:
-    cargo run --release -p hcl-bench --bin pr9 -- --smoke
 
 # Durability suite: the WAL crate's unit tests (CRC, torn-tail truncation,
 # snapshot compaction, replay dedup), the per-container live-vs-recovered
@@ -169,15 +160,6 @@ crash-soak iters="3" seed="12648430":
     HCL_SOAK_ITERS={{iters}} HCL_SOAK_SEED={{seed}} \
         cargo test --release --test crash_recovery -- --ignored --exact crash_soak --nocapture
 
-# Sync-epoch bench gate: a reduced 8-rank zipfian durable-put sweep (no
-# persistence vs strict vs relaxed), gating the flush-gap signature —
-# every durable put logged, strict fsyncs per append, relaxed fsyncs >= 10x
-# rarer, relaxed throughput not collapsed — then validating the committed
-# BENCH_pr10.json. The full regeneration is `cargo run --release -p
-# hcl-bench --bin pr10`.
-bench-persist-smoke:
-    cargo run --release -p hcl-bench --bin pr10 -- --smoke
-
 # The repo benchmark's own self-tests (payload checks with negative
 # controls, per-op failure accounting, metric schema). perfbench is its own
 # Cargo workspace compiled against the library's public API, so this is
@@ -185,13 +167,14 @@ bench-persist-smoke:
 bench-selftest:
     cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-# FIG artifact provenance: every committed FIG_*.json must record its seed,
-# measured rank counts, and per-cell workload mix.
+# Artifact provenance: every committed FIG_*.json must record its seed,
+# measured rank counts, and per-cell workload mix; every BENCH_*.json its
+# host block and each cell's samples and median.
 check-artifacts:
     cargo run -p xtask -- artifacts
 
 # Everything CI runs: build, tier-1 tests, hygiene lint, fault suite,
 # membership/rebalance suite, durability suite + crash soak, schedule
-# exploration, linearizability histories, bench smoke-checks,
+# exploration, linearizability histories, bench gates,
 # scenario-matrix gate, repo-benchmark self-tests, artifact provenance.
-ci: build test lint test-faults test-membership test-persist crash-soak check-conc check-races check-lin bench-smoke bench-cache-smoke telemetry-smoke scenario-smoke bench-rebalance-smoke bench-persist-smoke bench-selftest check-artifacts
+ci: build test lint test-faults test-membership test-persist crash-soak check-conc check-races check-lin bench-gates scenario-smoke bench-selftest check-artifacts

@@ -1396,7 +1396,7 @@ mod tests {
         assert!(rules("crates/core/src/unordered.rs", recorder).is_empty());
         // Outside the container modules the rule does not apply at all.
         let raw = "fn f(rank: &Rank) {\n    let _ = rank.invoke(ep, 0, &());\n}\n";
-        assert!(rules("crates/bench/src/bin/pr3.rs", raw).is_empty());
+        assert!(rules("crates/bench/src/bin/hcl-bench/rpc.rs", raw).is_empty());
         assert!(rules("tests/end_to_end.rs", raw).is_empty());
     }
 

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run -p xtask -- lint       # concurrency-hygiene lint pass
-//! cargo run -p xtask -- artifacts  # FIG_*.json provenance check
+//! cargo run -p xtask -- artifacts  # FIG_*.json / BENCH_*.json provenance check
 //! ```
 //!
 //! See [`lint`] and [`artifacts`] for the rules each pass enforces.
